@@ -9,6 +9,7 @@ cache so re-runs cost nothing.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -210,7 +211,9 @@ def run_benchmark(manifest_path, config: MetricConfig | None = None,
 
     Manifest paths are relative to the manifest file. Scores are cached in
     a JSON file next to the report keyed by (reference content, distorted
-    content, config) hashes, so unchanged rows cost one hash each on re-run.
+    content, config) hashes; each distinct file is hashed once per run, so
+    a re-run of unchanged rows costs one hash per file. The cache is
+    replaced atomically, so a crash while writing it keeps the old one.
     Unreadable rows are skipped with a logged count.
     """
     config = config or MetricConfig()
@@ -231,14 +234,21 @@ def run_benchmark(manifest_path, config: MetricConfig | None = None,
     cfg_digest = _config_digest(config)
 
     # pass 1: hash files, resolve cache hits, collect rows still to score
+    digests = {}
+
+    def digest(rel):
+        path = os.path.join(base, rel)
+        if path not in digests:
+            digests[path] = _sha256_file(path)
+        return digests[path]
+
     keyed = []  # (row, key or None, q or None)
     cache_hits = 0
     skipped = 0
     for row in rows:
         ref_rel, dist_rel = row[0], row[1]
         try:
-            key = (f"{_sha256_file(os.path.join(base, ref_rel))}:"
-                   f"{_sha256_file(os.path.join(base, dist_rel))}:{cfg_digest}")
+            key = f"{digest(ref_rel)}:{digest(dist_rel)}:{cfg_digest}"
         except OSError as exc:
             log.warning("skipping unreadable pair (%s, %s): %s", ref_rel, dist_rel, exc)
             skipped += 1
@@ -292,8 +302,7 @@ def run_benchmark(manifest_path, config: MetricConfig | None = None,
     records = [ScoredRecord(row[0], row[1], row[2], row[3], q)
                for row, _, q in keyed if q is not None]
 
-    with open(cache_path, "w") as fh:
-        json.dump(cache, fh, indent=0, sort_keys=True)
+    _replace_json(cache_path, cache)
     if not records:
         raise ValueError("no manifest row could be scored")
 
@@ -302,6 +311,19 @@ def run_benchmark(manifest_path, config: MetricConfig | None = None,
     summary.skipped_files = skipped
     _write_report(out_path, records, summary)
     return summary
+
+
+def _replace_json(path, obj) -> None:
+    """Write ``obj`` to a temp file beside ``path``, then swap it in."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(obj, fh, indent=0, sort_keys=True)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def _summarize(records):

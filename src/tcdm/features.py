@@ -16,7 +16,7 @@ from .config import MetricConfig, color_weights_for
 from .pointcloud import Point
 from .savar import PatchEncoding, cross_complexity, self_complexity
 from .segmentation import PatchPair
-from .spatial import build_index, knn_batch
+from .spatial import SpatialIndex, build_index, knn_batch
 
 __all__ = [
     "PatchFeatures",
@@ -128,14 +128,15 @@ _EMPTY_DIAGNOSTICS = (0.0, 0.0, 0.0, 0.0)
 def patch_features(pair: PatchPair, config: MetricConfig | None = None,
                    self_encoding: PatchEncoding | None = None,
                    field_x: np.ndarray | None = None,
-                   field_ids: np.ndarray | None = None) -> PatchFeatures:
+                   field_ids: np.ndarray | None = None,
+                   ref_index: SpatialIndex | None = None) -> PatchFeatures:
     """Compute the feature triple of one patch pair.
 
     Reference patches with fewer than 2 points are skipped; an empty
     distorted patch means the cell lost all content and scores 0 on every
-    feature. Reference-side intermediates (self encoding, first field) may
-    be passed in when the caller scores many distorted clouds against one
-    reference.
+    feature. Reference-side intermediates (self encoding, first field, the
+    reference patch's index) may be passed in when the caller scores many
+    distorted clouds against one reference.
     """
     config = config or MetricConfig()
     n_ref, n_dist = pair.ref.count, pair.dist.count
@@ -148,7 +149,8 @@ def patch_features(pair: PatchPair, config: MetricConfig | None = None,
         diag = (self_encoding.complexity_geometry, 0.0, self_encoding.complexity_color, 0.0)
         return PatchFeatures(0.0, 0.0, 0.0, diag, skipped=False)
     cross_encoding = cross_complexity(pair.ref, pair.dist, config.neighbors,
-                                      config.weight_scheme, config.eta_mode, config.ridge)
+                                      config.weight_scheme, config.eta_mode, config.ridge,
+                                      ref_index=ref_index)
     f1_geom = complexity_similarity(self_encoding.complexity_geometry,
                                     cross_encoding.complexity_geometry, config.stability)
     f1_col = complexity_similarity(self_encoding.complexity_color,

@@ -23,7 +23,7 @@ from .features import PatchFeatures, _field_neighbor_ids, _g_rows, patch_feature
 from .pointcloud import PointCloud
 from .savar import PatchEncoding, self_complexity
 from .segmentation import Patch, PatchPair, nearest_seed_labels, select_seeds
-from .spatial import build_index
+from .spatial import SpatialIndex, build_index
 
 __all__ = [
     "MetricConfig",
@@ -91,7 +91,9 @@ class QualityReport:
 @dataclass(frozen=True)
 class _ReferencePatch:
     patch: Patch
-    encoding: PatchEncoding | None   # None when the patch is degenerate
+    # the rest is None when the patch is degenerate
+    index: SpatialIndex | None
+    encoding: PatchEncoding | None
     field_ids: np.ndarray | None
     field_x: np.ndarray | None
 
@@ -154,13 +156,13 @@ def prepare_reference(reference: PointCloud, config: MetricConfig | None = None)
 
     def encode(patch: Patch) -> _ReferencePatch:
         if patch.count < 2:
-            return _ReferencePatch(patch, None, None, None)
+            return _ReferencePatch(patch, None, None, None, None)
         index = build_index(patch.positions)
         enc = self_complexity(patch, config.neighbors, config.weight_scheme,
                               config.eta_mode, config.ridge, patch_index=index)
         ids = _field_neighbor_ids(enc.predictions, config.neighbors)
         fx = _g_rows(enc.predictions, enc.predictions[ids], weights)
-        return _ReferencePatch(patch, enc, ids, fx)
+        return _ReferencePatch(patch, index, enc, ids, fx)
 
     prepared = [encode(p) for p in ref_patches]
     return ReferenceState(config=config, seed_positions=seeds.positions,
@@ -180,7 +182,8 @@ def score_with_reference(state: ReferenceState, distorted: PointCloud,
         ref = state.patches[l]
         pair = PatchPair(l, state.seed_positions[l], ref.patch, dist_patches[l])
         return patch_features(pair, config, self_encoding=ref.encoding,
-                              field_x=ref.field_x, field_ids=ref.field_ids)
+                              field_x=ref.field_x, field_ids=ref.field_ids,
+                              ref_index=ref.index)
 
     n_workers = resolve_threads(threads)
     indices = range(len(state.patches))

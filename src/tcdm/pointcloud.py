@@ -84,10 +84,13 @@ class PointCloud:
         if not np.isfinite(self.positions).all():
             bad = int(np.flatnonzero(~np.isfinite(self.positions).all(axis=1))[0])
             raise ValueError(f"non-finite coordinate at point {bad}")
-        if self.colors.min(initial=0.0) < 0.0 or self.colors.max(initial=0.0) > 255.0:
-            bad = int(np.flatnonzero(
-                (self.colors < 0.0).any(axis=1) | (self.colors > 255.0).any(axis=1)
-            )[0])
+        # written so that a NaN, which propagates through min/max and fails
+        # every comparison, also lands in the error branch
+        if not (self.colors.min(initial=0.0) >= 0.0 and self.colors.max(initial=0.0) <= 255.0):
+            in_range = (self.colors >= 0.0) & (self.colors <= 255.0)
+            bad = int(np.flatnonzero(~in_range.all(axis=1))[0])
+            if np.isnan(self.colors[bad]).any():
+                raise ValueError(f"non-finite color at point {bad}")
             raise ValueError(f"color outside [0, 255] at point {bad}")
 
     def translated(self, offset) -> "PointCloud":

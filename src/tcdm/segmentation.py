@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pointcloud import PointCloud
-from .spatial import farthest_point_sampling, random_sampling
+from .spatial import build_index, farthest_point_sampling, knn_batch, random_sampling
 
 __all__ = [
     "SeedSet",
@@ -82,35 +82,11 @@ def select_seeds(reference: PointCloud, count: int, strategy: str = "fps",
 def nearest_seed_labels(positions: np.ndarray, seed_positions: np.ndarray) -> np.ndarray:
     """Label each point with its nearest seed.
 
-    Ties resolve to the seed ranked first by (lexicographic position,
-    seed index), matching the knn contract: seeds are visited in that
-    order and only a strictly smaller distance replaces the current label.
+    A k=1 query under the knn contract: ties resolve to the seed ranked
+    first by (lexicographic position, seed index).
     """
-    n = positions.shape[0]
-    n_seeds = seed_positions.shape[0]
-    visit = np.lexsort((np.arange(n_seeds), seed_positions[:, 2],
-                        seed_positions[:, 1], seed_positions[:, 0]))
-    px = np.ascontiguousarray(positions[:, 0])
-    py = np.ascontiguousarray(positions[:, 1])
-    pz = np.ascontiguousarray(positions[:, 2])
-    best = np.full(n, np.inf)
-    labels = np.zeros(n, dtype=np.intp)
-    d2 = np.empty(n)
-    t = np.empty(n)
-    for l in visit:
-        sx, sy, sz = seed_positions[l]
-        np.subtract(px, sx, out=d2)
-        d2 *= d2
-        np.subtract(py, sy, out=t)
-        t *= t
-        d2 += t
-        np.subtract(pz, sz, out=t)
-        t *= t
-        d2 += t
-        closer = d2 < best
-        labels[closer] = l
-        np.minimum(best, d2, out=best)
-    return labels
+    labels, _ = knn_batch(build_index(seed_positions), positions, 1)
+    return labels[:, 0]
 
 
 def assign_partition(reference: PointCloud, distorted: PointCloud,

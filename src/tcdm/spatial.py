@@ -2,8 +2,12 @@
 
 Every query resolves exact distance ties by the same rule: ascending
 (distance, lexicographic position (x, y, z), original index). The index
-keeps its points sorted in that lexicographic order so a single stable sort
-of squared distances realizes the full composite ordering.
+keeps its points' lexicographic order, and candidates are listed by rank in
+it, so a single stable sort of squared distances realizes the full
+composite ordering. A kd-tree (``scipy.spatial.cKDTree``) only proposes
+candidates; their order is always decided on exact distances, and a row
+whose candidate set cannot prove the answer is asked again with twice the
+candidates, up to every point.
 
 Squared distances are always accumulated coordinate by coordinate,
 ``(dx*dx + dy*dy) + dz*dz``, which is bitwise-identical to the naive
@@ -17,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 __all__ = [
     "SpatialIndex",
@@ -28,9 +33,14 @@ __all__ = [
     "random_sampling",
 ]
 
-# Extra candidates fetched beyond k; rows whose boundary remains ambiguous
-# (ties reaching past the buffer) fall back to a full stable sort.
-_TOPK_BUFFER = 8
+# Queries run in blocks of this many rows, so the distance blocks a query
+# (or its exhaustive fallback) materializes stay O(_BLOCK * m) floats for
+# an index of m points, whatever the patch size.
+_BLOCK = 1024
+
+# Relative margin between a kd-tree distance and the exact contract-form
+# distance of the same pair; both are a few roundings off the true value.
+_TREE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -42,7 +52,11 @@ class NeighborList:
 
 
 class SpatialIndex:
-    """Immutable brute-force index with contract-exact tie ordering."""
+    """Immutable point index with contract-exact tie ordering.
+
+    ``order`` lists the points by rank; a kd-tree built over them in that
+    order (per query batch, see ``knn_batch``) reports ranks.
+    """
 
     def __init__(self, positions: np.ndarray):
         positions = np.ascontiguousarray(positions, dtype=np.float64)
@@ -54,60 +68,61 @@ class SpatialIndex:
             raise ValueError("positions contain non-finite values")
         self.positions = positions
         n = positions.shape[0]
-        # order: points sorted by (x, y, z, original index); rank inverts it.
+        # order: points sorted by (x, y, z, original index)
         self.order = np.lexsort((np.arange(n), positions[:, 2], positions[:, 1], positions[:, 0]))
-        self.rank = np.empty(n, dtype=np.intp)
-        self.rank[self.order] = np.arange(n)
-        sorted_pts = positions[self.order]
-        self._cols = (sorted_pts[:, 0].copy(), sorted_pts[:, 1].copy(), sorted_pts[:, 2].copy())
 
     @property
     def count(self) -> int:
         return self.positions.shape[0]
-
-    def sq_dists(self, queries: np.ndarray) -> np.ndarray:
-        """Squared distances from each query to every indexed point (rank order)."""
-        cx, cy, cz = self._cols
-        d2 = np.subtract.outer(queries[:, 0], cx)
-        d2 *= d2
-        t = np.subtract.outer(queries[:, 1], cy)
-        t *= t
-        d2 += t
-        t = np.subtract.outer(queries[:, 2], cz)
-        t *= t
-        d2 += t
-        return d2
 
 
 def build_index(positions) -> SpatialIndex:
     return SpatialIndex(np.asarray(positions, dtype=np.float64))
 
 
-def _topk_sorted(d2: np.ndarray, k: int) -> np.ndarray:
-    """Per-row indices of the k smallest entries, ties by column order.
+def _rerank(pts: np.ndarray, queries: np.ndarray, cand: np.ndarray,
+            excl: np.ndarray | None, kk: int):
+    """The kk best of each row's candidate ranks, by (exact d², rank).
 
-    Columns are assumed pre-sorted by the tie-break rank, so a stable sort
-    on values alone realizes the composite (value, rank) ordering.
+    ``pts`` holds the indexed points in rank order. ``cand`` holds
+    ascending ranks, one row per query or one row shared by all, so a
+    stable sort on d² alone realizes the composite ordering. Returns
+    (ranks, squared distances), both (Q, kk).
     """
-    n_rows, m = d2.shape
-    kk = min(k, m)
-    if kk == m:
-        return np.argsort(d2, axis=1, kind="stable")
-    w = min(kk + _TOPK_BUFFER, m)
-    part = np.argpartition(d2, w - 1, axis=1)[:, :w]
-    vals = np.take_along_axis(d2, part, axis=1)
-    sub = np.lexsort((part, vals), axis=1)
-    part = np.take_along_axis(part, sub, axis=1)
-    vals = np.take_along_axis(vals, sub, axis=1)
-    if w < m:
-        # Boundary tie: a value equal to the kk-th may also live outside the
-        # candidate window; redo those rows with a full stable sort.
-        unsafe = vals[:, w - 1] <= vals[:, kk - 1]
-        if unsafe.any():
-            rows = np.flatnonzero(unsafe)
-            full = np.argsort(d2[rows], axis=1, kind="stable")[:, :w]
-            part[rows] = full
-    return part[:, :kk]
+    d2 = queries[:, 0:1] - np.take(pts[:, 0], cand)
+    d2 *= d2
+    t = queries[:, 1:2] - np.take(pts[:, 1], cand)
+    t *= t
+    d2 += t
+    t = queries[:, 2:3] - np.take(pts[:, 2], cand)
+    t *= t
+    d2 += t
+    cand = np.broadcast_to(cand, d2.shape)
+    if excl is not None:
+        d2[cand == excl[:, None]] = np.inf
+    sel = np.argsort(d2, axis=1, kind="stable")[:, :kk]
+    return np.take_along_axis(cand, sel, axis=1), np.take_along_axis(d2, sel, axis=1)
+
+
+def _exact_scan(pts: np.ndarray, queries: np.ndarray, excl: np.ndarray | None, kk: int):
+    """Contract-exact top-kk over every indexed point."""
+    return _rerank(pts, queries, np.arange(pts.shape[0]), excl, kk)
+
+
+def _tree_search(pts: np.ndarray, tree: cKDTree, queries: np.ndarray,
+                 excl: np.ndarray | None, kk: int, w: int):
+    """Top-kk from ``w`` kd-tree candidates per row, and which rows are safe.
+
+    A row is safe when its kk-th exact d² lies clearly below the w-th
+    candidate's tree d²: every point outside the candidates is then
+    strictly farther than the kk-th. Boundary ties, duplicates and zero
+    distances leave a row unsafe.
+    """
+    tdist, cand = tree.query(queries, k=w)
+    cand.sort(axis=1)
+    ranks, d2 = _rerank(pts, queries, cand, excl, kk)
+    bound = tdist[:, -1] * tdist[:, -1] * (1.0 - _TREE_MARGIN)
+    return ranks, d2, d2[:, -1] < bound
 
 
 def knn_batch(index: SpatialIndex, queries: np.ndarray, k: int,
@@ -124,14 +139,40 @@ def knn_batch(index: SpatialIndex, queries: np.ndarray, k: int,
         raise ValueError(f"queries must be (Q, 3), got {queries.shape}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    d2 = index.sq_dists(queries)
+    m = index.count
+    kk = min(k, m)
+    excl = None
     if exclude is not None:
         exclude = np.asarray(exclude)
-        rows = np.flatnonzero(exclude >= 0)
-        d2[rows, index.rank[exclude[rows]]] = np.inf
-    sel = _topk_sorted(d2, k)
-    dists = np.sqrt(np.take_along_axis(d2, sel, axis=1))
-    return index.order[sel], dists
+        rank = np.empty(m, dtype=np.intp)
+        rank[index.order] = np.arange(m)
+        excl = np.where(exclude >= 0, rank[exclude], -1)
+    # one candidate beyond the kk wanted (and the excluded one) is what the
+    # safety test compares against
+    w = min(kk + (excl is not None) + 1, m)
+    # Built per call and dropped after: the pipeline queries each index
+    # once, and a prepared reference keeps its patches' indices.
+    pts = index.positions[index.order]
+    tree = cKDTree(pts) if w < m else None
+    n = queries.shape[0]
+    ranks = np.empty((n, kk), dtype=np.intp)
+    d2 = np.empty((n, kk))
+    for lo in range(0, n, _BLOCK):
+        todo = np.arange(lo, min(lo + _BLOCK, n))
+        width = w
+        # Unsafe rows are asked again with twice the candidates (ties on
+        # voxel grids mostly clear at the next width), until every point
+        # is a candidate and the scan is exhaustive.
+        while todo.size:
+            block_excl = None if excl is None else excl[todo]
+            if width == m:
+                ranks[todo], d2[todo] = _exact_scan(pts, queries[todo], block_excl, kk)
+                break
+            r, d, safe = _tree_search(pts, tree, queries[todo], block_excl, kk, width)
+            ranks[todo[safe]], d2[todo[safe]] = r[safe], d[safe]
+            todo = todo[~safe]
+            width = min(2 * width, m)
+    return index.order[ranks], np.sqrt(d2)
 
 
 def knn(index: SpatialIndex, query, k: int, exclude: int | None = None) -> NeighborList:
@@ -155,7 +196,8 @@ def farthest_point_sampling(positions, count: int) -> np.ndarray:
     n = index.count
     if not (1 <= count <= n):
         raise ValueError(f"sample count must be in [1, {n}], got {count}")
-    cx, cy, cz = index._cols
+    # rank-ordered columns, each its own contiguous array
+    cx, cy, cz = (index.positions[index.order, j] for j in range(3))
     # Centroid over rank-ordered coordinates: permutation-stable summation.
     d2 = cx - cx.mean()
     d2 *= d2

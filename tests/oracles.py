@@ -11,17 +11,16 @@ import numpy as np
 def knn_oracle(positions, query, k, exclude=None):
     """Exhaustive nearest-neighbor scan with the composite tie ordering.
 
-    Candidates sort ascending by (squared distance, x, y, z, index) using
-    plain Python tuple comparison.
+    Every point's squared distance is the naive ``((p - query) ** 2).sum()``
+    (evaluated for all points at once); candidates sort ascending by
+    (squared distance, x, y, z, index) using plain Python tuple comparison.
     """
     positions = np.asarray(positions, dtype=np.float64)
     query = np.asarray(query, dtype=np.float64)
-    rows = []
-    for i, p in enumerate(positions):
-        if exclude is not None and i == exclude:
-            continue
-        d2 = float(((p - query) ** 2).sum())
-        rows.append((d2, float(p[0]), float(p[1]), float(p[2]), i))
+    d2 = ((positions - query) ** 2).sum(axis=1).tolist()
+    rows = [(d, x, y, z, i)
+            for i, (d, (x, y, z)) in enumerate(zip(d2, positions.tolist()))
+            if exclude is None or i != exclude]
     rows.sort()
     rows = rows[:k]
     idx = np.array([r[4] for r in rows], dtype=np.intp)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tcdm import evaluation
 from tcdm.config import MetricConfig
 from tcdm.evaluation import (f_test, fit_logistic5, logistic5, plcc, rmse,
                              run_benchmark, srocc)
@@ -218,6 +219,55 @@ class TestRunBenchmark:
                                 tmp_path / "r.csv", threads=1)
         assert summary.skipped_files == 1
         assert summary.n == 1
+
+    @pytest.fixture
+    def two_row_manifest(self, tmp_path):
+        ref = sphere_cloud(600, 7, radius=100.0)
+        save_ply(ref, tmp_path / "ref.ply")
+        for i in range(2):
+            noisy = degrade(ref, DegradationSpec("geometry_gaussian", 1.0 + i, i))
+            save_ply(noisy, tmp_path / f"d{i}.ply")
+        rows = [["ref.ply", f"d{i}.ply", "ggn", 3.0 - i] for i in range(2)]
+        return _build_manifest(tmp_path, rows)
+
+    def test_each_file_hashed_once_per_run(self, tmp_path, two_row_manifest, monkeypatch):
+        hashed = []
+        original = evaluation._sha256_file
+
+        def counting(path):
+            hashed.append(path)
+            return original(path)
+
+        monkeypatch.setattr(evaluation, "_sha256_file", counting)
+        config = MetricConfig(seeds=8, neighbors=6)
+        for _ in range(2):   # cold, then cached
+            hashed.clear()
+            run_benchmark(two_row_manifest, config, tmp_path / "r.csv", threads=1)
+            assert len(hashed) == len(set(hashed)) == 3
+
+    def test_crash_while_writing_cache_keeps_old_cache(self, tmp_path, two_row_manifest,
+                                                       monkeypatch):
+        config = MetricConfig(seeds=8, neighbors=6)
+        run_benchmark(two_row_manifest, config, tmp_path / "r.csv", threads=1)
+        cache_path = tmp_path / "r.csv.scores.json"
+        before = cache_path.read_text()
+
+        class CrashingJson:
+            def __getattr__(self, name):
+                return getattr(json, name)
+
+            def dump(self, obj, fh, **kwargs):
+                fh.write(json.dumps(obj)[:10])   # a torn write
+                raise RuntimeError("crash mid-write")
+
+        monkeypatch.setattr(evaluation, "json", CrashingJson())
+        with pytest.raises(RuntimeError, match="crash mid-write"):
+            run_benchmark(two_row_manifest, MetricConfig(seeds=9, neighbors=6),
+                          tmp_path / "r.csv", threads=1)
+        assert cache_path.read_text() == before
+        assert len(json.loads(before)) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "d0.ply", "d1.ply", "manifest.csv", "r.csv", "r.csv.scores.json", "ref.ply"]
 
     def test_empty_manifest_rejected(self, tmp_path):
         manifest = _build_manifest(tmp_path, [])

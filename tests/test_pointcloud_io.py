@@ -265,6 +265,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="non-finite"):
             cloud.validate()
 
+    def test_validate_rejects_nan_color(self):
+        colors = np.zeros((3, 3))
+        colors[1, 0] = np.nan
+        cloud = PointCloud(np.arange(9.0).reshape(3, 3), colors)
+        with pytest.raises(ValueError, match="non-finite color at point 1"):
+            cloud.validate()
+
     def test_validate_rejects_out_of_range_color(self):
         cloud = PointCloud(np.zeros((1, 3)), np.array([[0.0, 0.0, 300.0]]))
         with pytest.raises(ValueError, match="color"):

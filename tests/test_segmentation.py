@@ -87,6 +87,35 @@ class TestAssignPartition:
         assert labels[0] == 0
 
 
+class TestNearestSeedLabelsTies:
+    @pytest.fixture
+    def tied_points(self):
+        # integer grid around cube-corner seeds: the center is equidistant
+        # from all 8 seeds, face centers from 4, edge midpoints from 2
+        g = np.arange(-2.0, 3.0)
+        pts = np.array(np.meshgrid(g, g, g)).reshape(3, -1).T
+        seeds = np.array([[x, y, z] for x in (-1.0, 1) for y in (-1.0, 1) for z in (-1.0, 1)])
+        seeds = seeds[[5, 2, 7, 0, 3, 6, 1, 4]]   # not in lexicographic order
+        return np.concatenate([pts, pts * 0.5]), seeds
+
+    def test_matches_oracle_on_ties(self, tied_points):
+        pts, seeds = tied_points
+        labels = nearest_seed_labels(pts, seeds)
+        want = [nearest_seed_oracle(p, seeds) for p in pts]
+        assert labels.tolist() == want
+
+    def test_permutation_invariant(self, tied_points):
+        pts, seeds = tied_points
+        labels = nearest_seed_labels(pts, seeds)
+        rng = np.random.default_rng(31)
+        for _ in range(3):
+            perm_pts = rng.permutation(len(pts))
+            perm_seeds = rng.permutation(len(seeds))
+            got = nearest_seed_labels(pts[perm_pts], seeds[perm_seeds])
+            # same point, same seed position, whatever the input orders
+            assert np.array_equal(seeds[perm_seeds][got], seeds[labels][perm_pts])
+
+
 class TestBuildPatchPairs:
     def test_partition_properties(self, cloud_pair):
         ref, dist = cloud_pair

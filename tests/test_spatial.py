@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tcdm import spatial
 from tcdm.spatial import (build_index, farthest_point_sampling, knn, knn_batch,
                           random_sampling)
 
@@ -103,6 +104,62 @@ class TestKnn:
             got = knn(index, q, k=7)
             assert np.array_equal(idx[row], got.indices)
             assert np.array_equal(dist[row], got.distances)
+
+
+class TestTieFallback:
+    """Batch queries on tie-heavy clouds, every row against the oracle."""
+
+    @staticmethod
+    def grid(size):
+        g = np.arange(size, dtype=np.float64)
+        return np.array(np.meshgrid(g, g, g)).reshape(3, -1).T
+
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        """Rows asked again with a wider candidate set, and rows scanned
+        over every point, across the knn_batch calls of one test."""
+        seen = {"widened": 0, "scanned": 0}
+        tree_search, exact_scan = spatial._tree_search, spatial._exact_scan
+
+        def counting_tree_search(pts, tree, queries, excl, kk, w):
+            if w > kk + (excl is not None) + 1:
+                seen["widened"] += queries.shape[0]
+            return tree_search(pts, tree, queries, excl, kk, w)
+
+        def counting_exact_scan(pts, queries, excl, kk):
+            seen["scanned"] += queries.shape[0]
+            return exact_scan(pts, queries, excl, kk)
+
+        monkeypatch.setattr(spatial, "_tree_search", counting_tree_search)
+        monkeypatch.setattr(spatial, "_exact_scan", counting_exact_scan)
+        return seen
+
+    @pytest.mark.parametrize("self_excluded", [False, True])
+    def test_every_row_matches_oracle(self, fallbacks, self_excluded):
+        big = self.grid(10)
+        small = self.grid(3)
+        # duplicated points make zero distances and boundary ties; on the
+        # small cloud, widening the candidate set reaches every point
+        for pts in (np.concatenate([big, big[::9], big[::97]]),
+                    np.concatenate([small, small[::2]])):
+            n = len(pts)
+            # on-grid queries tie on every shell; half-offset ones sit between
+            queries = np.concatenate([pts, pts[::13] + 0.5])
+            exclude = None
+            if self_excluded:
+                exclude = np.concatenate([np.arange(n), np.full(len(queries) - n, -1)])
+            index = build_index(pts)
+            # oracle lists at the largest k; a smaller k's answer is their prefix
+            want = [knn_oracle(pts, q, 20, exclude=None if exclude is None or exclude[r] < 0
+                               else int(exclude[r]))
+                    for r, q in enumerate(queries)]
+            for k in (1, 6, 20):
+                idx, dist = knn_batch(index, queries, k, exclude=exclude)
+                for r in range(len(queries)):
+                    assert np.array_equal(idx[r], want[r][0][:k]), (n, k, r)
+                    assert np.array_equal(dist[r], want[r][1][:k]), (n, k, r)
+        assert fallbacks["widened"] > 0
+        assert fallbacks["scanned"] > 0
 
 
 class TestPermutationInvariance:
