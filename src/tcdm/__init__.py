@@ -10,8 +10,7 @@ reconstruction fields are pooled into one score.
 from .config import DEFAULT_CONFIG, MetricConfig
 from .evaluation import (CorrelationSummary, f_test, fit_logistic5, plcc, rmse,
                          run_benchmark, srocc)
-from .metric import (QualityReport, prepare_reference, score, score_if_color,
-                     score_with_reference)
+from .metric import QualityReport, prepare_reference, score, score_with_reference
 from .pointcloud import (DegradationSpec, PlyError, Point, PointCloud, degrade,
                          load_ply, save_ply)
 from .segmentation import (PatchPair, SeedSet, VoronoiPartition, assign_partition,
@@ -21,7 +20,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MetricConfig", "DEFAULT_CONFIG", "QualityReport",
-    "score", "score_if_color", "prepare_reference", "score_with_reference",
+    "score", "prepare_reference", "score_with_reference",
     "PointCloud", "Point", "DegradationSpec", "PlyError",
     "load_ply", "save_ply", "degrade",
     "SeedSet", "VoronoiPartition", "PatchPair",

@@ -13,7 +13,7 @@ import sys
 from .config import (COLOR_SPACES, COLOR_WEIGHT_MODES, ETA_MODES, SAMPLING_STRATEGIES,
                      WEIGHT_SCHEMES, MetricConfig)
 from .evaluation import run_benchmark
-from .metric import resolve_threads, score_if_color
+from .metric import resolve_threads, score
 from .pointcloud import DegradationSpec, PlyError, degrade, load_ply, save_ply
 
 EXIT_OK = 0
@@ -68,8 +68,8 @@ def _config_from(args) -> MetricConfig:
 
 def _cmd_score(args) -> int:
     config = _config_from(args)
-    report = score_if_color(load_ply(args.reference), load_ply(args.distorted),
-                            config, threads=args.threads)
+    threads = resolve_threads(args.threads)
+    report = score(load_ply(args.reference), load_ply(args.distorted), config, threads=threads)
     if args.json:
         print(json.dumps(report.to_dict(include_patches=args.verbose), indent=2))
     else:

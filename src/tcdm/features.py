@@ -89,15 +89,25 @@ def difference_fields(x_hat: np.ndarray, y_hat: np.ndarray, k: int, color_weight
     n = x_hat.shape[0]
     if n < 2:
         raise ValueError("difference fields need at least 2 points")
-    ids = _field_neighbor_ids(x_hat, k)
+    ids = _field_neighbor_ids(x_hat, k, np.arange(n))
     w = np.asarray(color_weights, dtype=np.float64)
     return _g_rows(x_hat, x_hat[ids], w), _g_rows(y_hat, y_hat[ids], w)
 
 
-def _field_neighbor_ids(x_hat: np.ndarray, k: int) -> np.ndarray:
-    index = build_index(x_hat[:, :3])
+def _field_neighbor_ids(x_hat: np.ndarray, k: int, order: np.ndarray) -> np.ndarray:
+    """Each row's k nearest other rows by predicted position, padded.
+
+    Distinct points can get the very same prediction (say, from the same
+    equidistant neighbors), and a distance tie between them falls to row
+    rank. ``order`` ranks the rows; the pipeline passes the patch's
+    lexicographic point order, so that choice does not follow the order of
+    the cloud's points.
+    """
     n = x_hat.shape[0]
-    idx, _ = knn_batch(index, x_hat[:, :3], k, exclude=np.arange(n))
+    pos = x_hat[order, :3]
+    ranked, _ = knn_batch(build_index(pos), pos, k, exclude=np.arange(n))
+    idx = np.empty_like(ranked)
+    idx[order] = order[ranked]
     k_eff = min(k, n - 1)
     idx = idx[:, :k_eff]
     if k_eff < k:
@@ -142,9 +152,11 @@ def patch_features(pair: PatchPair, config: MetricConfig | None = None,
     n_ref, n_dist = pair.ref.count, pair.dist.count
     if n_ref < 2:
         return PatchFeatures(0.0, 0.0, 0.0, _EMPTY_DIAGNOSTICS, skipped=True)
+    if ref_index is None:
+        ref_index = build_index(pair.ref.positions)
     if self_encoding is None:
         self_encoding = self_complexity(pair.ref, config.neighbors, config.weight_scheme,
-                                        config.eta_mode, config.ridge)
+                                        config.eta_mode, config.ridge, patch_index=ref_index)
     if n_dist == 0:
         diag = (self_encoding.complexity_geometry, 0.0, self_encoding.complexity_color, 0.0)
         return PatchFeatures(0.0, 0.0, 0.0, diag, skipped=False)
@@ -157,7 +169,8 @@ def patch_features(pair: PatchPair, config: MetricConfig | None = None,
                                    cross_encoding.complexity_color, config.stability)
     weights = color_weights_for(config)
     if field_x is None or field_ids is None:
-        field_ids = _field_neighbor_ids(self_encoding.predictions, config.neighbors)
+        field_ids = _field_neighbor_ids(self_encoding.predictions, config.neighbors,
+                                        ref_index.order)
         field_x = _g_rows(self_encoding.predictions,
                           self_encoding.predictions[field_ids], weights)
     field_y = _g_rows(cross_encoding.predictions,

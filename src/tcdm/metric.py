@@ -33,7 +33,6 @@ __all__ = [
     "prepare_reference",
     "score",
     "score_with_reference",
-    "score_if_color",
     "resolve_threads",
 ]
 
@@ -114,7 +113,10 @@ def resolve_threads(threads: int | None) -> int:
         return max(1, int(threads))
     env = os.environ.get("TCDM_THREADS", "").strip()
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"TCDM_THREADS must be an integer, got {env!r}") from None
     return max(1, os.cpu_count() or 1)
 
 
@@ -160,7 +162,7 @@ def prepare_reference(reference: PointCloud, config: MetricConfig | None = None)
         index = build_index(patch.positions)
         enc = self_complexity(patch, config.neighbors, config.weight_scheme,
                               config.eta_mode, config.ridge, patch_index=index)
-        ids = _field_neighbor_ids(enc.predictions, config.neighbors)
+        ids = _field_neighbor_ids(enc.predictions, config.neighbors, index.order)
         fx = _g_rows(enc.predictions, enc.predictions[ids], weights)
         return _ReferencePatch(patch, index, enc, ids, fx)
 
@@ -223,16 +225,3 @@ def score(reference: PointCloud, distorted: PointCloud,
     """Score one (reference, distorted) pair end to end."""
     state = prepare_reference(reference, config)
     return score_with_reference(state, distorted, threads=threads)
-
-
-def score_if_color(reference: PointCloud, distorted: PointCloud,
-                   config: MetricConfig | None = None,
-                   threads: int | None = None) -> QualityReport:
-    """Score with the configured color space applied.
-
-    Input colors are always RGB as stored; when the config selects yuv the
-    channels are converted before encoding and the luma-weighted color
-    difference is used. ``score`` applies the same conversion, so this is
-    the explicit entry point for color-space experiments.
-    """
-    return score(reference, distorted, config, threads=threads)

@@ -70,6 +70,21 @@ class PatchEncoding:
     predictions: np.ndarray  # (n, 6): predicted XYZ then predicted color
 
 
+def _over_spread(dist: np.ndarray, eta_mode: str, shift: bool = False) -> np.ndarray:
+    """Each row of ``dist`` over its spread eta, 0 on a row with no spread.
+
+    eta is the row's standard deviation, squared in variance mode.
+    ``shift`` subtracts the row minimum from the distances, not from eta.
+    """
+    spread = dist.std(axis=1, keepdims=True)
+    if eta_mode == "variance":
+        spread = spread * spread
+    if shift:
+        dist = dist - dist.min(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.where(spread > 0.0, dist / np.where(spread > 0.0, spread, 1.0), 0.0)
+
+
 def sigmoid_distance_values(dist: np.ndarray, eta_mode: str = "std") -> np.ndarray:
     """Raw pre-normalization sigmoid values for (n, K) neighbor distances.
 
@@ -77,16 +92,7 @@ def sigmoid_distance_values(dist: np.ndarray, eta_mode: str = "std") -> np.ndarr
     distance grows against the row's spread. A zero spread yields 0.5
     everywhere, so normalization collapses to uniform weights.
     """
-    dist = np.asarray(dist, dtype=np.float64)
-    spread = dist.std(axis=1, keepdims=True)
-    if eta_mode == "variance":
-        spread = spread * spread
-    flat = spread[:, 0] == 0.0
-    with np.errstate(divide="ignore", over="ignore"):
-        ratio = np.where(spread > 0.0, dist / np.where(spread > 0.0, spread, 1.0), 0.0)
-    d = 1.0 / (1.0 + np.exp(-ratio))
-    d[flat] = 0.5
-    return d
+    return 1.0 / (1.0 + np.exp(-_over_spread(np.asarray(dist, dtype=np.float64), eta_mode)))
 
 
 def _weights_from_distances(dist: np.ndarray, scheme: str, eta_mode: str) -> np.ndarray:
@@ -108,17 +114,9 @@ def _weights_from_distances(dist: np.ndarray, scheme: str, eta_mode: str) -> np.
     if scheme == "sigmoid_proposed":
         d = sigmoid_distance_values(dist, eta_mode)
     else:  # exp_decay
-        spread = dist.std(axis=1, keepdims=True)
-        if eta_mode == "variance":
-            spread = spread * spread
-        flat = spread[:, 0] == 0.0
         # shift by the row minimum: the nearest neighbor maps to exp(0),
         # so a tiny spread cannot underflow a whole row to zero
-        shifted = dist - dist.min(axis=1, keepdims=True)
-        with np.errstate(over="ignore"):
-            ratio = np.where(spread > 0.0, shifted / np.where(spread > 0.0, spread, 1.0), 0.0)
-        d = np.exp(-ratio)
-        d[flat] = 1.0
+        d = np.exp(-_over_spread(dist, eta_mode, shift=True))
     return d / d.sum(axis=1, keepdims=True)
 
 

@@ -5,9 +5,10 @@ Every query resolves exact distance ties by the same rule: ascending
 keeps its points' lexicographic order, and candidates are listed by rank in
 it, so a single stable sort of squared distances realizes the full
 composite ordering. A kd-tree (``scipy.spatial.cKDTree``) only proposes
-candidates; their order is always decided on exact distances, and a row
-whose candidate set cannot prove the answer is asked again with twice the
-candidates, up to every point.
+candidates; their order is always decided on exact distances (a row whose
+exact distances already strictly increase in the tree's order needs no
+sort), and a row whose candidate set cannot prove the answer is asked
+again with twice the candidates, up to every point.
 
 Squared distances are always accumulated coordinate by coordinate,
 ``(dx*dx + dy*dy) + dz*dz``, which is bitwise-identical to the naive
@@ -18,6 +19,7 @@ tie agreement, so they are deliberately avoided.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +82,19 @@ def build_index(positions) -> SpatialIndex:
     return SpatialIndex(np.asarray(positions, dtype=np.float64))
 
 
+def _sq_dists(pts: np.ndarray, queries: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """Contract-form d² from each query to its candidate ranks (Q, w)."""
+    d2 = queries[:, 0:1] - np.take(pts[:, 0], cand)
+    d2 *= d2
+    t = queries[:, 1:2] - np.take(pts[:, 1], cand)
+    t *= t
+    d2 += t
+    t = queries[:, 2:3] - np.take(pts[:, 2], cand)
+    t *= t
+    d2 += t
+    return d2
+
+
 def _rerank(pts: np.ndarray, queries: np.ndarray, cand: np.ndarray,
             excl: np.ndarray | None, kk: int):
     """The kk best of each row's candidate ranks, by (exact d², rank).
@@ -89,14 +104,7 @@ def _rerank(pts: np.ndarray, queries: np.ndarray, cand: np.ndarray,
     stable sort on d² alone realizes the composite ordering. Returns
     (ranks, squared distances), both (Q, kk).
     """
-    d2 = queries[:, 0:1] - np.take(pts[:, 0], cand)
-    d2 *= d2
-    t = queries[:, 1:2] - np.take(pts[:, 1], cand)
-    t *= t
-    d2 += t
-    t = queries[:, 2:3] - np.take(pts[:, 2], cand)
-    t *= t
-    d2 += t
+    d2 = _sq_dists(pts, queries, cand)
     cand = np.broadcast_to(cand, d2.shape)
     if excl is not None:
         d2[cand == excl[:, None]] = np.inf
@@ -113,16 +121,33 @@ def _tree_search(pts: np.ndarray, tree: cKDTree, queries: np.ndarray,
                  excl: np.ndarray | None, kk: int, w: int):
     """Top-kk from ``w`` kd-tree candidates per row, and which rows are safe.
 
-    A row is safe when its kk-th exact d² lies clearly below the w-th
-    candidate's tree d²: every point outside the candidates is then
-    strictly farther than the kk-th. Boundary ties, duplicates and zero
-    distances leave a row unsafe.
+    The tree lists candidates by its own distance. In a first query (one
+    candidate beyond the kk wanted and the excluded one), a row whose exact
+    d² strictly increase in that order is already in (d², rank) order and
+    is sliced as is; with exclusion, the excluded point must come first and
+    is dropped. Other rows, and every row of a widened query (each failed
+    on a tie before), are re-ranked. A row is safe when its kk-th exact d²
+    lies clearly below the w-th candidate's tree d²: every point outside
+    the candidates is then strictly farther than the kk-th. Boundary ties,
+    duplicates and zero distances leave a row unsafe.
     """
     tdist, cand = tree.query(queries, k=w)
-    cand.sort(axis=1)
-    ranks, d2 = _rerank(pts, queries, cand, excl, kk)
+    lo = 0 if excl is None else 1
+    if w == kk + lo + 1:
+        d2 = _sq_dists(pts, queries, cand)
+        fast = (d2[:, lo + 1:] > d2[:, lo:-1]).all(axis=1)
+        if excl is not None:
+            fast &= cand[:, 0] == excl
+        ranks, dk = cand[:, lo:kk + lo], d2[:, lo:kk + lo]
+        if not fast.all():
+            slow = ~fast
+            ranks[slow], dk[slow] = _rerank(pts, queries[slow], np.sort(cand[slow], axis=1),
+                                            None if excl is None else excl[slow], kk)
+    else:
+        cand.sort(axis=1)
+        ranks, dk = _rerank(pts, queries, cand, excl, kk)
     bound = tdist[:, -1] * tdist[:, -1] * (1.0 - _TREE_MARGIN)
-    return ranks, d2, d2[:, -1] < bound
+    return ranks, dk, dk[:, -1] < bound
 
 
 def knn_batch(index: SpatialIndex, queries: np.ndarray, k: int,
@@ -211,20 +236,36 @@ def farthest_point_sampling(positions, count: int) -> np.ndarray:
     current = int(np.argmax(d2))
     picked[0] = current
     min_d2 = np.full(n, np.inf)
+    # Every min_d2 is at most r2, the current pick's own (it is the argmax),
+    # so only points with |x - x_c| <= r can get closer to the pick, and cx
+    # is ascending: they form one slice. A point outside it is more than r
+    # away in x (no float lies between x_c - r and its rounding), so its
+    # contract d² >= fl(dx*dx) >= fl(r*r) >= r2 >= its min_d2, which
+    # np.minimum would keep. The first pass (r2 = inf) covers every point,
+    # and so does a subnormal r2, where fl(r*r) can fall below r2.
+    r2 = np.inf
     for i in range(1, count):
-        d2 = cx - cx[current]
+        x = float(cx[current])
+        r = math.sqrt(r2) * (1.0 + 1e-9)  # so r*r >= r2 despite rounding
+        if r * r >= r2:
+            lo = int(np.searchsorted(cx, x - r))
+            hi = int(np.searchsorted(cx, x + r, "right"))
+        else:
+            lo, hi = 0, n
+        d2 = cx[lo:hi] - x
         d2 *= d2
-        t = cy - cy[current]
+        t = cy[lo:hi] - cy[current]
         t *= t
         d2 += t
-        t = cz - cz[current]
+        t = cz[lo:hi] - cz[current]
         t *= t
         d2 += t
-        np.minimum(min_d2, d2, out=min_d2)
+        seg = min_d2[lo:hi]
+        np.minimum(seg, d2, out=seg)
         min_d2[current] = -1.0  # never re-pick, even among exact duplicates
         current = int(np.argmax(min_d2))
+        r2 = float(min_d2[current])
         picked[i] = current
-    min_d2[current] = -1.0
     return index.order[picked]
 
 

@@ -34,6 +34,30 @@ def nearest_seed_oracle(point, seed_positions):
     return int(idx[0])
 
 
+def fps_oracle(positions, count):
+    """Greedy farthest-point sampling with a full-cloud pass per pick.
+
+    Points are visited in lexicographic (x, y, z, index) order, the first
+    pick is the farthest from the centroid, and every later pick updates
+    the nearest-pick distance of every point in the contract form
+    ``(dx*dx + dy*dy) + dz*dz`` before taking the first maximum.
+    """
+    positions = np.asarray(positions, dtype=np.float64)
+    n = positions.shape[0]
+    order = np.lexsort((np.arange(n), positions[:, 2], positions[:, 1], positions[:, 0]))
+    cx, cy, cz = (positions[order, j] for j in range(3))
+    d2 = (cx - cx.mean()) ** 2 + (cy - cy.mean()) ** 2 + (cz - cz.mean()) ** 2
+    picked = [int(np.argmax(d2))]
+    min_d2 = np.full(n, np.inf)
+    for _ in range(1, count):
+        c = picked[-1]
+        d2 = ((cx - cx[c]) ** 2 + (cy - cy[c]) ** 2) + (cz - cz[c]) ** 2
+        np.minimum(min_d2, d2, out=min_d2)
+        min_d2[c] = -1.0
+        picked.append(int(np.argmax(min_d2)))
+    return order[np.array(picked, dtype=np.intp)]
+
+
 def pinv_predictions(design, targets):
     """Least-squares predictions through an explicit pseudo-inverse."""
     return design @ (np.linalg.pinv(design) @ targets)

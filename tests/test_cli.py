@@ -142,6 +142,18 @@ class TestBatchCommand:
         assert out.exists()
 
 
+class TestThreadsVariable:
+    @pytest.mark.parametrize("command", ["score", "batch"])
+    def test_bad_value_exits_two(self, ply_pair, capsys, monkeypatch, command):
+        monkeypatch.setenv("TCDM_THREADS", "abc")
+        args = ([str(ply_pair / "a.ply"), str(ply_pair / "a.ply")] if command == "score"
+                else [str(ply_pair / "missing.csv")])
+        assert main([command, *args, "--seeds", "12", "--k", "8"]) == 2
+        err = capsys.readouterr().err
+        assert "TCDM_THREADS must be an integer, got 'abc'" in err
+        assert "invalid literal" not in err
+
+
 class TestEndToEnd:
     def test_degrade_then_score_ordering(self, ply_pair, capsys):
         """Full workflow: synthesize two noise levels, scores must rank them."""

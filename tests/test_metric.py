@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tcdm.config import MetricConfig, rgb_to_yuv
-from tcdm.metric import prepare_reference, score, score_if_color, score_with_reference
+from tcdm.metric import prepare_reference, score, score_with_reference
 from tcdm.pointcloud import DegradationSpec, PointCloud, degrade
 from tcdm.synthetic import sphere_cloud
 
@@ -86,6 +86,24 @@ class TestDeterminismAndInvariance:
         assert abs(qp - q0) <= 1e-12
 
 
+    def test_permutation_invariance_with_duplicates(self):
+        # duplicated points give distinct neighbors the same prediction, so
+        # difference-field neighbors tie on predicted position
+        rng = np.random.default_rng(1)
+        n = int(rng.integers(40, 240))
+        pos = rng.uniform(-50, 50, size=(n, 3))
+        col = rng.integers(0, 256, size=(n, 3)).astype(np.float64)
+        dup = rng.integers(0, n, size=int(rng.integers(0, 60)))
+        ref = PointCloud(np.concatenate([pos, pos[dup]]), np.concatenate([col, col[dup]]))
+        dist = PointCloud(ref.positions + rng.normal(0, 1, size=ref.positions.shape), ref.colors)
+        cfg = MetricConfig(seeds=2, neighbors=2)
+        q0 = score(ref, dist, cfg, threads=1).q
+        pr, pd = rng.permutation(ref.count), rng.permutation(dist.count)
+        qp = score(PointCloud(ref.positions[pr], ref.colors[pr]),
+                   PointCloud(dist.positions[pd], dist.colors[pd]), cfg, threads=1).q
+        assert abs(qp - q0) <= 1e-12
+
+
 class TestBehavior:
     def test_identity_scores_one(self, pair):
         ref, _ = pair
@@ -148,7 +166,7 @@ class TestColorSpace:
         gray = np.repeat(ref.colors[:, :1], 3, axis=1)
         ref = PointCloud(ref.positions, gray)
         dist = degrade(ref, DegradationSpec("geometry_gaussian", 1.0, 2))
-        rep = score_if_color(ref, dist, MetricConfig(seeds=12, color_space="yuv"), threads=1)
+        rep = score(ref, dist, MetricConfig(seeds=12, color_space="yuv"), threads=1)
         assert np.isfinite(rep.q)
         # chroma channels are constant 128: color covariance is rank-1 at
         # most, so every color complexity determinant collapses to zero
@@ -159,10 +177,8 @@ class TestColorSpace:
 
     def test_rgb_yuv_parity(self, pair):
         ref, dist = pair
-        q_rgb = score_if_color(ref, dist, MetricConfig(seeds=25, color_space="rgb"),
-                               threads=1).q
-        q_yuv = score_if_color(ref, dist, MetricConfig(seeds=25, color_space="yuv"),
-                               threads=1).q
+        q_rgb = score(ref, dist, MetricConfig(seeds=25, color_space="rgb"), threads=1).q
+        q_yuv = score(ref, dist, MetricConfig(seeds=25, color_space="yuv"), threads=1).q
         assert abs(q_rgb - q_yuv) < 0.05
 
 
@@ -201,6 +217,13 @@ class TestThreadResolution:
         from tcdm.metric import resolve_threads
         monkeypatch.setenv("TCDM_THREADS", "6")
         assert resolve_threads(None) == 6
+
+    def test_env_not_an_integer(self, monkeypatch):
+        from tcdm.metric import resolve_threads
+        monkeypatch.setenv("TCDM_THREADS", "abc")
+        with pytest.raises(ValueError, match="TCDM_THREADS must be an integer, got 'abc'"):
+            resolve_threads(None)
+        assert resolve_threads(3) == 3
 
     def test_machine_default(self, monkeypatch):
         from tcdm.metric import resolve_threads

@@ -1,0 +1,50 @@
+"""Score properties on small random clouds, at one and two threads.
+
+The clouds mix distinct positions with exact duplicates that carry the same
+color, so seed sampling and every neighbor plan meet zero distances and
+exact ties.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tcdm.config import MetricConfig
+from tcdm.metric import score
+from tcdm.pointcloud import PointCloud
+
+
+@st.composite
+def clouds(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(40, 240))
+    positions = rng.uniform(-50.0, 50.0, size=(n, 3))
+    colors = rng.integers(0, 256, size=(n, 3)).astype(np.float64)
+    dup = rng.integers(0, n, size=draw(st.integers(0, 60)))
+    return PointCloud(np.concatenate([positions, positions[dup]]),
+                      np.concatenate([colors, colors[dup]]))
+
+
+configs = st.builds(MetricConfig, seeds=st.integers(1, 4), neighbors=st.integers(2, 6))
+
+
+@given(cloud=clouds(), config=configs, threads=st.sampled_from([1, 2]))
+@settings(max_examples=25, deadline=None)
+def test_self_comparison_scores_one(cloud, config, threads):
+    assert score(cloud, cloud, config, threads=threads).q == 1.0
+
+
+@given(cloud=clouds(), config=configs, threads=st.sampled_from([1, 2]),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_point_permutation_leaves_score(cloud, config, threads, seed):
+    rng = np.random.default_rng(seed)
+    noisy = PointCloud(cloud.positions + rng.normal(0.0, 1.0, size=cloud.positions.shape),
+                       cloud.colors)
+    q = score(cloud, noisy, config, threads=threads).q
+    assert score(cloud, noisy, config, threads=3 - threads).q == q
+    pr, pd = rng.permutation(cloud.count), rng.permutation(noisy.count)
+    q_perm = score(PointCloud(cloud.positions[pr], cloud.colors[pr]),
+                   PointCloud(noisy.positions[pd], noisy.colors[pd]), config,
+                   threads=threads).q
+    assert abs(q_perm - q) <= 1e-12

@@ -7,7 +7,7 @@ from tcdm import spatial
 from tcdm.spatial import (build_index, farthest_point_sampling, knn, knn_batch,
                           random_sampling)
 
-from oracles import knn_oracle
+from oracles import fps_oracle, knn_oracle
 
 
 def coords(draw_count, seed, extent=10.0):
@@ -160,6 +160,109 @@ class TestTieFallback:
                     assert np.array_equal(dist[r], want[r][1][:k]), (n, k, r)
         assert fallbacks["widened"] > 0
         assert fallbacks["scanned"] > 0
+
+
+class TestSortFreeRerank:
+    """Rows the tree returns in exact (d², rank) order skip the re-rank."""
+
+    @pytest.fixture
+    def reranked(self, monkeypatch):
+        """Rows of first-width tree queries, and those of them re-ranked."""
+        seen = {"rows": 0, "reranked": 0}
+        first = {"on": False}
+        tree_search, rerank = spatial._tree_search, spatial._rerank
+
+        def counting_tree_search(pts, tree, queries, excl, kk, w):
+            first["on"] = w == kk + (excl is not None) + 1
+            if first["on"]:
+                seen["rows"] += queries.shape[0]
+            try:
+                return tree_search(pts, tree, queries, excl, kk, w)
+            finally:
+                first["on"] = False
+
+        def counting_rerank(pts, queries, cand, excl, kk):
+            if first["on"]:
+                seen["reranked"] += queries.shape[0]
+            return rerank(pts, queries, cand, excl, kk)
+
+        monkeypatch.setattr(spatial, "_tree_search", counting_tree_search)
+        monkeypatch.setattr(spatial, "_rerank", counting_rerank)
+        return seen
+
+    @pytest.mark.parametrize("self_excluded", [False, True])
+    def test_mixed_rows_match_oracle(self, reranked, self_excluded):
+        # a tie-free random cloud beside an integer grid whose points tie on
+        # every shell; some grid points are duplicated, so the excluded
+        # point is not always the first candidate
+        rng = np.random.default_rng(23)
+        g = np.arange(5, dtype=np.float64)
+        grid = np.array(np.meshgrid(g, g, g)).reshape(3, -1).T + 100.0
+        pts = np.concatenate([rng.uniform(-10, 10, size=(300, 3)), grid, grid[::11]])
+        n = len(pts)
+        queries = np.concatenate([pts, rng.uniform(-10, 10, size=(20, 3)), grid[::7] + 0.5])
+        exclude = None
+        if self_excluded:
+            exclude = np.concatenate([np.arange(n), np.full(len(queries) - n, -1)])
+        want = [knn_oracle(pts, q, 12, exclude=None if exclude is None or exclude[r] < 0
+                           else int(exclude[r]))
+                for r, q in enumerate(queries)]
+        index = build_index(pts)
+        for k in (1, 4, 12):
+            idx, dist = knn_batch(index, queries, k, exclude=exclude)
+            for r in range(len(queries)):
+                assert np.array_equal(idx[r], want[r][0][:k]), (k, r)
+                assert np.array_equal(dist[r], want[r][1][:k]), (k, r)
+        assert reranked["reranked"] > 0
+        assert reranked["rows"] - reranked["reranked"] > 0
+
+
+class TestFpsMatchesOracle:
+    """The slab-pruned loop picks exactly what a full pass per pick picks."""
+
+    @staticmethod
+    def check(pts):
+        n = len(pts)
+        for count in sorted({c for c in (1, 2, 50, n) if c <= n}):
+            got = farthest_point_sampling(pts, count)
+            assert np.array_equal(got, fps_oracle(pts, count)), (n, count)
+
+    def test_random_clouds(self):
+        rng = np.random.default_rng(24)
+        for n in (1, 2, 3, 97, 400):
+            self.check(rng.uniform(-10, 10, size=(n, 3)))
+        self.check(rng.normal(size=(300, 3)) * np.array([1e-3, 1.0, 1e3]))
+
+    def test_integer_grids_with_duplicates(self):
+        g = np.arange(6, dtype=np.float64)
+        grid = np.array(np.meshgrid(g, g, g)).reshape(3, -1).T
+        self.check(np.concatenate([grid, grid[::3], grid[::7]]))
+        self.check(np.concatenate([grid[:, ::-1], grid[::5]])[::-1])
+
+    def test_jittered_lattices(self):
+        # near-ties on a line put points just inside the slab's edge
+        rng = np.random.default_rng(27)
+        for n in (12, 28, 56):
+            pts = np.zeros((n, 3))
+            pts[:, 0] = np.arange(n) + rng.uniform(-1e-8, 1e-8, n)
+            pts[:, 1] = rng.uniform(-1e-9, 1e-9, n)
+            self.check(pts)
+            self.check(pts * 1e-160)  # squared distances are subnormal
+
+    def test_repeated_copies(self):
+        base = np.random.default_rng(25).uniform(-1, 1, size=(40, 3))
+        self.check(np.tile(base, (5, 1)))
+
+    @pytest.mark.parametrize("spread", [1e-13, 1e-10, 1e-6])
+    @pytest.mark.parametrize("offset", [0.0, 1.0, 1e4, 1e8])
+    def test_tiny_clusters_far_out(self, spread, offset):
+        # clusters narrower than the rounding of x_c ± r at large |x|
+        rng = np.random.default_rng(26)
+        clusters = [np.array([offset + 3.0 * c, c % 5, c % 3], dtype=np.float64)
+                    + rng.uniform(-spread, spread, size=(int(rng.integers(1, 6)), 3))
+                    for c in range(30)]
+        clusters.append(np.full((2, 3), offset))
+        self.check(np.concatenate(clusters))
 
 
 class TestPermutationInvariance:
