@@ -70,19 +70,17 @@ class PatchEncoding:
     predictions: np.ndarray  # (n, 6): predicted XYZ then predicted color
 
 
-def _over_spread(dist: np.ndarray, eta_mode: str, shift: bool = False) -> np.ndarray:
-    """Each row of ``dist`` over its spread eta, 0 on a row with no spread.
+def _over_spread(num: np.ndarray, dist: np.ndarray, eta_mode: str) -> np.ndarray:
+    """Each row of ``num`` over the spread eta of the same row of ``dist``.
 
-    eta is the row's standard deviation, squared in variance mode.
-    ``shift`` subtracts the row minimum from the distances, not from eta.
+    eta is the row's standard deviation, squared in variance mode; a row
+    with no spread gives 0.
     """
     spread = dist.std(axis=1, keepdims=True)
     if eta_mode == "variance":
         spread = spread * spread
-    if shift:
-        dist = dist - dist.min(axis=1, keepdims=True)
     with np.errstate(divide="ignore", over="ignore"):
-        return np.where(spread > 0.0, dist / np.where(spread > 0.0, spread, 1.0), 0.0)
+        return np.where(spread > 0.0, num / np.where(spread > 0.0, spread, 1.0), 0.0)
 
 
 def sigmoid_distance_values(dist: np.ndarray, eta_mode: str = "std") -> np.ndarray:
@@ -92,7 +90,8 @@ def sigmoid_distance_values(dist: np.ndarray, eta_mode: str = "std") -> np.ndarr
     distance grows against the row's spread. A zero spread yields 0.5
     everywhere, so normalization collapses to uniform weights.
     """
-    return 1.0 / (1.0 + np.exp(-_over_spread(np.asarray(dist, dtype=np.float64), eta_mode)))
+    dist = np.asarray(dist, dtype=np.float64)
+    return 1.0 / (1.0 + np.exp(-_over_spread(dist, dist, eta_mode)))
 
 
 def _weights_from_distances(dist: np.ndarray, scheme: str, eta_mode: str) -> np.ndarray:
@@ -116,7 +115,7 @@ def _weights_from_distances(dist: np.ndarray, scheme: str, eta_mode: str) -> np.
     else:  # exp_decay
         # shift by the row minimum: the nearest neighbor maps to exp(0),
         # so a tiny spread cannot underflow a whole row to zero
-        d = np.exp(-_over_spread(dist, eta_mode, shift=True))
+        d = np.exp(-_over_spread(dist - dist.min(axis=1, keepdims=True), dist, eta_mode))
     return d / d.sum(axis=1, keepdims=True)
 
 

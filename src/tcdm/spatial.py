@@ -95,16 +95,14 @@ def _sq_dists(pts: np.ndarray, queries: np.ndarray, cand: np.ndarray) -> np.ndar
     return d2
 
 
-def _rerank(pts: np.ndarray, queries: np.ndarray, cand: np.ndarray,
-            excl: np.ndarray | None, kk: int):
+def _rerank(cand: np.ndarray, d2: np.ndarray, excl: np.ndarray | None, kk: int):
     """The kk best of each row's candidate ranks, by (exact d², rank).
 
-    ``pts`` holds the indexed points in rank order. ``cand`` holds
-    ascending ranks, one row per query or one row shared by all, so a
-    stable sort on d² alone realizes the composite ordering. Returns
-    (ranks, squared distances), both (Q, kk).
+    ``cand`` holds ascending ranks, one row per query or one row shared by
+    all, and ``d2`` their contract d² (Q, w), overwritten where a row's
+    excluded rank sits. A stable sort on d² alone then realizes the
+    composite ordering. Returns (ranks, squared distances), both (Q, kk).
     """
-    d2 = _sq_dists(pts, queries, cand)
     cand = np.broadcast_to(cand, d2.shape)
     if excl is not None:
         d2[cand == excl[:, None]] = np.inf
@@ -114,7 +112,8 @@ def _rerank(pts: np.ndarray, queries: np.ndarray, cand: np.ndarray,
 
 def _exact_scan(pts: np.ndarray, queries: np.ndarray, excl: np.ndarray | None, kk: int):
     """Contract-exact top-kk over every indexed point."""
-    return _rerank(pts, queries, np.arange(pts.shape[0]), excl, kk)
+    cand = np.arange(pts.shape[0])
+    return _rerank(cand, _sq_dists(pts, queries, cand), excl, kk)
 
 
 def _tree_search(pts: np.ndarray, tree: cKDTree, queries: np.ndarray,
@@ -126,26 +125,33 @@ def _tree_search(pts: np.ndarray, tree: cKDTree, queries: np.ndarray,
     d² strictly increase in that order is already in (d², rank) order and
     is sliced as is; with exclusion, the excluded point must come first and
     is dropped. Other rows, and every row of a widened query (each failed
-    on a tie before), are re-ranked. A row is safe when its kk-th exact d²
-    lies clearly below the w-th candidate's tree d²: every point outside
+    on a tie before), are re-ranked, and so is every row of a query where
+    most rows have equal tree distances. A row is safe when its kk-th exact
+    d² lies clearly below the w-th candidate's tree d²: every point outside
     the candidates is then strictly farther than the kk-th. Boundary ties,
     duplicates and zero distances leave a row unsafe.
     """
     tdist, cand = tree.query(queries, k=w)
     lo = 0 if excl is None else 1
+    fast = np.zeros(len(cand), dtype=bool)
     if w == kk + lo + 1:
-        d2 = _sq_dists(pts, queries, cand)
-        fast = (d2[:, lo + 1:] > d2[:, lo:-1]).all(axis=1)
+        fast = (tdist[:, lo + 1:] > tdist[:, lo:-1]).all(axis=1)
         if excl is not None:
             fast &= cand[:, 0] == excl
+    # Slicing the slow rows out costs more than the sorts the fast ones
+    # save unless they are the majority; on voxel grids most rows tie.
+    if 2 * np.count_nonzero(fast) > len(fast):
+        d2 = _sq_dists(pts, queries, cand)
+        fast &= (d2[:, lo + 1:] > d2[:, lo:-1]).all(axis=1)
         ranks, dk = cand[:, lo:kk + lo], d2[:, lo:kk + lo]
-        if not fast.all():
-            slow = ~fast
-            ranks[slow], dk[slow] = _rerank(pts, queries[slow], np.sort(cand[slow], axis=1),
+        slow = ~fast
+        if slow.any():
+            c = np.sort(cand[slow], axis=1)
+            ranks[slow], dk[slow] = _rerank(c, _sq_dists(pts, queries[slow], c),
                                             None if excl is None else excl[slow], kk)
     else:
         cand.sort(axis=1)
-        ranks, dk = _rerank(pts, queries, cand, excl, kk)
+        ranks, dk = _rerank(cand, _sq_dists(pts, queries, cand), excl, kk)
     bound = tdist[:, -1] * tdist[:, -1] * (1.0 - _TREE_MARGIN)
     return ranks, dk, dk[:, -1] < bound
 
@@ -238,20 +244,18 @@ def farthest_point_sampling(positions, count: int) -> np.ndarray:
     min_d2 = np.full(n, np.inf)
     # Every min_d2 is at most r2, the current pick's own (it is the argmax),
     # so only points with |x - x_c| <= r can get closer to the pick, and cx
-    # is ascending: they form one slice. A point outside it is more than r
-    # away in x (no float lies between x_c - r and its rounding), so its
-    # contract d² >= fl(dx*dx) >= fl(r*r) >= r2 >= its min_d2, which
-    # np.minimum would keep. The first pass (r2 = inf) covers every point,
-    # and so does a subnormal r2, where fl(r*r) can fall below r2.
+    # is ascending: they form one slice. fl(r*r) >= r2, as sqrt(r2) is 0,
+    # inf or a normal float (even for a subnormal r2) that the margin makes
+    # r exceed. A point outside the slice is more than r away in x (no float
+    # lies between x_c - r and its rounding), so its contract d² >=
+    # fl(dx*dx) >= fl(r*r) >= r2 >= its min_d2, which np.minimum would
+    # keep. The first pass (r2 = inf) covers every point.
     r2 = np.inf
     for i in range(1, count):
         x = float(cx[current])
-        r = math.sqrt(r2) * (1.0 + 1e-9)  # so r*r >= r2 despite rounding
-        if r * r >= r2:
-            lo = int(np.searchsorted(cx, x - r))
-            hi = int(np.searchsorted(cx, x + r, "right"))
-        else:
-            lo, hi = 0, n
+        r = math.sqrt(r2) * (1.0 + 1e-9)
+        lo = int(np.searchsorted(cx, x - r))
+        hi = int(np.searchsorted(cx, x + r, "right"))
         d2 = cx[lo:hi] - x
         d2 *= d2
         t = cy[lo:hi] - cy[current]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from tcdm import spatial
 from tcdm.spatial import (build_index, farthest_point_sampling, knn, knn_batch,
@@ -181,10 +182,10 @@ class TestSortFreeRerank:
             finally:
                 first["on"] = False
 
-        def counting_rerank(pts, queries, cand, excl, kk):
+        def counting_rerank(cand, d2, excl, kk):
             if first["on"]:
-                seen["reranked"] += queries.shape[0]
-            return rerank(pts, queries, cand, excl, kk)
+                seen["reranked"] += d2.shape[0]
+            return rerank(cand, d2, excl, kk)
 
         monkeypatch.setattr(spatial, "_tree_search", counting_tree_search)
         monkeypatch.setattr(spatial, "_rerank", counting_rerank)
@@ -215,6 +216,30 @@ class TestSortFreeRerank:
                 assert np.array_equal(dist[r], want[r][1][:k]), (k, r)
         assert reranked["reranked"] > 0
         assert reranked["rows"] - reranked["reranked"] > 0
+
+    @pytest.mark.parametrize("self_excluded", [False, True])
+    def test_exact_check_catches_tree_order(self, monkeypatch, self_excluded):
+        # a tree whose distances always look tie-free sends every row of a
+        # tie-heavy grid to the exact d² check, which alone must catch ties
+        class TieHidingTree(cKDTree):
+            def query(self, x, k):
+                tdist, cand = super().query(x, k=k)
+                tdist[:, :-1] = tdist[:, -1:] * np.linspace(0.0, 0.5, k - 1)
+                return tdist, cand
+
+        monkeypatch.setattr(spatial, "cKDTree", TieHidingTree)
+        g = np.arange(4, dtype=np.float64)
+        grid = np.array(np.meshgrid(g, g, g)).reshape(3, -1).T
+        pts = np.concatenate([grid, grid[::5]])
+        n = len(pts)
+        exclude = np.arange(n) if self_excluded else None
+        index = build_index(pts)
+        for k in (1, 6):
+            idx, dist = knn_batch(index, pts, k, exclude=exclude)
+            for r in range(n):
+                want = knn_oracle(pts, pts[r], k, exclude=r if self_excluded else None)
+                assert np.array_equal(idx[r], want[0]), (k, r)
+                assert np.array_equal(dist[r], want[1]), (k, r)
 
 
 class TestFpsMatchesOracle:
