@@ -23,7 +23,7 @@ from tcdm.synthetic import SHAPE_BUILDERS
 def grade_config(config, shapes, levels):
     qs, mos = [], []
     for ref in shapes.values():
-        state = prepare_reference(ref, config)
+        state = prepare_reference(ref, config, threads=1)
         diag = float(np.linalg.norm(ref.positions.max(0) - ref.positions.min(0)))
         for i, frac in enumerate(levels):
             dist = degrade(ref, DegradationSpec("geometry_gaussian", frac * diag, i))

@@ -32,13 +32,14 @@ def main():
     parser.add_argument("--seeds", type=int, default=80)
     parser.add_argument("--noise-seeds", type=int, default=3,
                         help="rng seeds averaged per degradation level")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=1,
+                        help="worker threads for prepare and score (default 1)")
     args = parser.parse_args()
 
     config = MetricConfig(seeds=args.seeds)
     for name, ref in build_shapes(args.points).items():
         t0 = time.perf_counter()
-        state = prepare_reference(ref, config)
+        state = prepare_reference(ref, config, threads=args.threads)
         diag = float(np.linalg.norm(ref.positions.max(0) - ref.positions.min(0)))
         sweeps = {
             "geometry_gaussian": [0.005 * diag, 0.01 * diag, 0.02 * diag],

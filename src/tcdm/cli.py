@@ -48,7 +48,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--eta-mode", choices=ETA_MODES, default="std")
     parser.add_argument("--color-weight-mode", choices=COLOR_WEIGHT_MODES, default="normalized")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: TCDM_THREADS or machine parallelism)")
+                        help="worker threads: score's patches, batch's rows and reference "
+                             "prepare (default: TCDM_THREADS or machine parallelism)")
 
 
 def _config_from(args) -> MetricConfig:

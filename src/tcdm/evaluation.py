@@ -24,7 +24,7 @@ from scipy.optimize import least_squares
 from scipy.stats import f as f_distribution
 
 from .config import MetricConfig
-from .metric import prepare_reference, score_with_reference
+from .metric import prepare_reference, resolve_threads, score_with_reference
 from .pointcloud import load_ply
 
 __all__ = [
@@ -217,6 +217,7 @@ def run_benchmark(manifest_path, config: MetricConfig | None = None,
     Unreadable rows are skipped with a logged count.
     """
     config = config or MetricConfig()
+    n_workers = resolve_threads(threads)
     manifest_path = os.fspath(manifest_path)
     out_path = os.fspath(out_path) if out_path is not None else manifest_path + ".report.csv"
     cache_path = out_path + ".scores.json"
@@ -267,7 +268,8 @@ def run_benchmark(manifest_path, config: MetricConfig | None = None,
         ref_path = os.path.join(base, keyed[i][0][0])
         if ref_path not in state_by_ref:
             try:
-                state_by_ref[ref_path] = prepare_reference(load_ply(ref_path), config)
+                state_by_ref[ref_path] = prepare_reference(load_ply(ref_path), config,
+                                                          threads=n_workers)
             except (OSError, ValueError) as exc:
                 log.warning("cannot prepare reference %s: %s", keyed[i][0][0], exc)
                 state_by_ref[ref_path] = None
@@ -284,7 +286,6 @@ def run_benchmark(manifest_path, config: MetricConfig | None = None,
             log.warning("skipping pair (%s, %s): %s", row[0], row[1], exc)
             return None
 
-    n_workers = max(1, threads or 1)
     if n_workers > 1 and len(pending) > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             scored = list(pool.map(score_row, pending))

@@ -12,6 +12,7 @@ Scoring many distorted versions of one reference should go through
 
 from __future__ import annotations
 
+import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -35,6 +36,12 @@ __all__ = [
     "score_with_reference",
     "resolve_threads",
 ]
+
+log = logging.getLogger("tcdm")
+
+# Mean neighbor slots (points x K) per reference patch below which a patch
+# pool loses to one thread: see the README's "Threads" section.
+_POOL_MIN_SLOTS = 3000
 
 
 @dataclass(frozen=True)
@@ -143,7 +150,23 @@ def _patches_for(positions: np.ndarray, colors: np.ndarray, labels: np.ndarray,
     return patches
 
 
-def prepare_reference(reference: PointCloud, config: MetricConfig | None = None) -> ReferenceState:
+def _map_patches(fn, ref_patches: list, config: MetricConfig, threads: int | None,
+                 stage: str) -> list:
+    """``fn`` over patch indices, in patch order; pooled only when the
+    caller asks for workers and the mean patch has _POOL_MIN_SLOTS."""
+    counts = [p.count for p in ref_patches if p.count >= 2]
+    slots = config.neighbors * sum(counts) / max(1, len(counts))
+    workers = resolve_threads(threads)
+    workers = workers if slots >= _POOL_MIN_SLOTS else 1
+    log.debug("%s: %d worker(s), %.0f neighbor slots per patch", stage, workers, slots)
+    if workers > 1 and len(ref_patches) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, range(len(ref_patches))))
+    return [fn(l) for l in range(len(ref_patches))]
+
+
+def prepare_reference(reference: PointCloud, config: MetricConfig | None = None,
+                      threads: int | None = None) -> ReferenceState:
     """Segment the reference and encode every patch from itself."""
     config = config or DEFAULT_CONFIG
     reference.validate()
@@ -156,7 +179,8 @@ def prepare_reference(reference: PointCloud, config: MetricConfig | None = None)
     weights = color_weights_for(config)
     ref_patches = _patches_for(reference.positions, colors, labels, seeds.positions)
 
-    def encode(patch: Patch) -> _ReferencePatch:
+    def encode(l: int) -> _ReferencePatch:
+        patch = ref_patches[l]
         if patch.count < 2:
             return _ReferencePatch(patch, None, None, None, None)
         index = build_index(patch.positions)
@@ -166,7 +190,7 @@ def prepare_reference(reference: PointCloud, config: MetricConfig | None = None)
         fx = _g_rows(enc.predictions, enc.predictions[ids], weights)
         return _ReferencePatch(patch, index, enc, ids, fx)
 
-    prepared = [encode(p) for p in ref_patches]
+    prepared = _map_patches(encode, ref_patches, config, threads, "prepare")
     return ReferenceState(config=config, seed_positions=seeds.positions,
                           ref_points=reference.count, patches=prepared)
 
@@ -187,14 +211,8 @@ def score_with_reference(state: ReferenceState, distorted: PointCloud,
                               field_x=ref.field_x, field_ids=ref.field_ids,
                               ref_index=ref.index)
 
-    n_workers = resolve_threads(threads)
-    indices = range(len(state.patches))
-    if n_workers > 1 and len(state.patches) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            feats = list(pool.map(one, indices))
-    else:
-        feats = [one(l) for l in indices]
-    empty = sum(1 for l in indices
+    feats = _map_patches(one, [r.patch for r in state.patches], config, threads, "score")
+    empty = sum(1 for l in range(len(feats))
                 if state.patches[l].patch.count >= 2 and dist_patches[l].count == 0)
     return _fuse(feats, config, state.ref_points, distorted.count, empty)
 
@@ -223,5 +241,5 @@ def _fuse(feats: list, config: MetricConfig, n_ref: int, n_dist: int,
 def score(reference: PointCloud, distorted: PointCloud,
           config: MetricConfig | None = None, threads: int | None = None) -> QualityReport:
     """Score one (reference, distorted) pair end to end."""
-    state = prepare_reference(reference, config)
+    state = prepare_reference(reference, config, threads=threads)
     return score_with_reference(state, distorted, threads=threads)

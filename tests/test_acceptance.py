@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+import tcdm.metric
 from tcdm.config import MetricConfig
 from tcdm.evaluation import f_test, fit_logistic5, logistic5, plcc, rmse, run_benchmark, srocc
 from tcdm.features import complexity_similarity, prediction_similarity
@@ -154,7 +155,9 @@ def _rough_sphere(n, seed, radius=150.0, roughness=3.0):
     return PointCloud(base.positions + rng.normal(0, roughness, size=(n, 3)), base.colors)
 
 
-def test_criterion_06_invariances():
+def test_criterion_06_invariances(monkeypatch):
+    # pool every patch at threads > 1, whatever the patch size
+    monkeypatch.setattr(tcdm.metric, "_POOL_MIN_SLOTS", 0)
     cfg = MetricConfig(seeds=25)
     ref = _rough_sphere(6000, 3)
     dist = degrade(ref, DegradationSpec("geometry_gaussian", 1.5, 5))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tcdm.metric
 from tcdm import evaluation
 from tcdm.config import MetricConfig
 from tcdm.evaluation import (f_test, fit_logistic5, logistic5, plcc, rmse,
@@ -268,6 +269,28 @@ class TestRunBenchmark:
         assert len(json.loads(before)) == 2
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "d0.ply", "d1.ply", "manifest.csv", "r.csv", "r.csv.scores.json", "ref.ply"]
+
+    def test_threads_default_follows_environment(self, tmp_path, two_row_manifest,
+                                                 monkeypatch):
+        # pool every patch, so that the prepare at two workers really runs two
+        monkeypatch.setattr(tcdm.metric, "_POOL_MIN_SLOTS", 0)
+        asked = []
+        original = evaluation.prepare_reference
+
+        def recording(reference, config, threads=None):
+            asked.append(threads)
+            return original(reference, config, threads=threads)
+
+        monkeypatch.setattr(evaluation, "prepare_reference", recording)
+        config = MetricConfig(seeds=8, neighbors=6)
+        run_benchmark(two_row_manifest, config, tmp_path / "one.csv", threads=1)
+        monkeypatch.setenv("TCDM_THREADS", "2")
+        run_benchmark(two_row_manifest, config, tmp_path / "env.csv", threads=None)
+        assert asked == [1, 2]
+        one = json.loads((tmp_path / "one.csv.scores.json").read_text())
+        env = json.loads((tmp_path / "env.csv.scores.json").read_text())
+        assert len(one) == 2
+        assert env == one
 
     def test_empty_manifest_rejected(self, tmp_path):
         manifest = _build_manifest(tmp_path, [])

@@ -1,6 +1,10 @@
+import logging
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+import tcdm.metric
 from tcdm.config import MetricConfig, rgb_to_yuv
 from tcdm.metric import prepare_reference, score, score_with_reference
 from tcdm.pointcloud import DegradationSpec, PointCloud, degrade
@@ -53,7 +57,8 @@ class TestFusion:
 
 
 class TestDeterminismAndInvariance:
-    def test_bit_identical_across_runs_and_threads(self, pair):
+    def test_bit_identical_across_runs_and_threads(self, pair, monkeypatch):
+        monkeypatch.setattr(tcdm.metric, "_POOL_MIN_SLOTS", 0)
         q1 = score(*pair, CFG, threads=1).q
         q4 = score(*pair, CFG, threads=4).q
         q4b = score(*pair, CFG, threads=4).q
@@ -229,3 +234,61 @@ class TestThreadResolution:
         from tcdm.metric import resolve_threads
         monkeypatch.delenv("TCDM_THREADS", raising=False)
         assert resolve_threads(None) >= 1
+
+
+class TestPatchPool:
+    def test_prepare_bit_identical_across_threads(self, pair, monkeypatch):
+        monkeypatch.setattr(tcdm.metric, "_POOL_MIN_SLOTS", 0)
+        states = [prepare_reference(pair[0], CFG, threads=t) for t in (1, 2, 4)]
+        for patches in zip(*(s.patches for s in states)):
+            first = patches[0]
+            assert first.encoding is not None
+            for other in patches[1:]:
+                assert np.array_equal(other.encoding.predictions, first.encoding.predictions)
+                assert other.encoding.complexity_geometry == first.encoding.complexity_geometry
+                assert other.encoding.complexity_color == first.encoding.complexity_color
+                assert np.array_equal(other.field_ids, first.field_ids)
+                assert np.array_equal(other.field_x, first.field_x)
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        opened = []
+
+        class CountingPool(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                opened.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(tcdm.metric, "ThreadPoolExecutor", CountingPool)
+        return opened
+
+    def test_no_pool_on_small_patches(self, pools):
+        # the dense_seeds shape at small size: ~67 points per patch, K=10
+        ref = rough_sphere(4000, 1, radius=500.0, roughness=2.0)
+        dist = degrade(ref, DegradationSpec("geometry_gaussian", 3.0, 2))
+        cfg = MetricConfig(seeds=60, neighbors=10)
+        state = prepare_reference(ref, cfg, threads=2)
+        score_with_reference(state, dist, threads=2)
+        assert pools == []
+
+    def test_no_pool_at_one_thread(self, pair, pools):
+        state = prepare_reference(pair[0], CFG, threads=1)
+        score_with_reference(state, pair[1], threads=1)
+        assert pools == []
+
+    def test_each_call_logs_workers_and_slots(self, pair, caplog):
+        caplog.set_level(logging.DEBUG, logger="tcdm")
+        state = prepare_reference(pair[0], CFG, threads=2)
+        score_with_reference(state, pair[1], threads=1)
+        slots = CFG.neighbors * pair[0].count / CFG.seeds
+        assert [r.getMessage() for r in caplog.records] == [
+            f"prepare: 2 worker(s), {slots:.0f} neighbor slots per patch",
+            f"score: 1 worker(s), {slots:.0f} neighbor slots per patch"]
+
+    def test_one_pool_per_call_on_large_patches(self, pair, pools):
+        # 6,000 points over 20 seeds at K=20: ~6,000 neighbor slots per patch
+        cfg = MetricConfig(seeds=20)
+        state = prepare_reference(pair[0], cfg, threads=2)
+        assert len(pools) == 1
+        score_with_reference(state, pair[1], threads=2)
+        assert len(pools) == 2

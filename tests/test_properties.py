@@ -6,12 +6,23 @@ exact ties.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tcdm.metric
 from tcdm.config import MetricConfig
 from tcdm.metric import score
 from tcdm.pointcloud import PointCloud
+
+
+@pytest.fixture(autouse=True, scope="module")
+def pool_on_every_patch():
+    # these clouds are far below the pool's size rule; force the pool so
+    # that two threads really run patches side by side
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tcdm.metric, "_POOL_MIN_SLOTS", 0)
+        yield
 
 
 @st.composite
