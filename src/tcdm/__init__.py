@@ -13,8 +13,7 @@ from .evaluation import (CorrelationSummary, f_test, fit_logistic5, plcc, rmse,
 from .metric import QualityReport, prepare_reference, score, score_with_reference
 from .pointcloud import (DegradationSpec, PlyError, Point, PointCloud, degrade,
                          load_ply, save_ply)
-from .segmentation import (PatchPair, SeedSet, VoronoiPartition, assign_partition,
-                           build_patch_pairs, select_seeds)
+from .segmentation import SeedSet, select_seeds
 
 __version__ = "0.1.0"
 
@@ -23,8 +22,7 @@ __all__ = [
     "score", "prepare_reference", "score_with_reference",
     "PointCloud", "Point", "DegradationSpec", "PlyError",
     "load_ply", "save_ply", "degrade",
-    "SeedSet", "VoronoiPartition", "PatchPair",
-    "select_seeds", "assign_partition", "build_patch_pairs",
+    "SeedSet", "select_seeds",
     "plcc", "srocc", "rmse", "f_test", "fit_logistic5", "run_benchmark",
     "CorrelationSummary",
 ]

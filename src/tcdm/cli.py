@@ -10,8 +10,8 @@ import argparse
 import json
 import sys
 
-from .config import (COLOR_SPACES, COLOR_WEIGHT_MODES, ETA_MODES, SAMPLING_STRATEGIES,
-                     WEIGHT_SCHEMES, MetricConfig)
+from .config import (COLOR_SPACES, COLOR_WEIGHT_MODES, DEFAULT_CONFIG, ETA_MODES,
+                     SAMPLING_STRATEGIES, WEIGHT_SCHEMES, MetricConfig)
 from .evaluation import run_benchmark
 from .metric import resolve_threads, score
 from .pointcloud import DegradationSpec, PlyError, degrade, load_ply, save_ply
@@ -32,21 +32,28 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seeds", type=int, default=400,
-                        help="number of generating seeds (default 400)")
-    parser.add_argument("--k", type=int, default=20,
-                        help="neighborhood order (default 20)")
-    parser.add_argument("--t", type=float, default=1e-6,
-                        help="similarity stability constant (default 1e-6)")
-    parser.add_argument("--alpha", type=float, default=0.3,
-                        help="fusion weight of the complexity feature (default 0.3)")
-    parser.add_argument("--sampling", choices=SAMPLING_STRATEGIES, default="fps")
-    parser.add_argument("--sampling-seed", type=int, default=0,
-                        help="rng seed for --sampling random")
-    parser.add_argument("--weight-scheme", choices=WEIGHT_SCHEMES, default="sigmoid_proposed")
-    parser.add_argument("--color-space", choices=COLOR_SPACES, default="rgb")
-    parser.add_argument("--eta-mode", choices=ETA_MODES, default="std")
-    parser.add_argument("--color-weight-mode", choices=COLOR_WEIGHT_MODES, default="normalized")
+    d = DEFAULT_CONFIG
+    parser.add_argument("--seeds", type=int, default=d.seeds,
+                        help="number of generating seeds (default %(default)s)")
+    parser.add_argument("--k", type=int, default=d.neighbors,
+                        help="neighborhood order (default %(default)s)")
+    parser.add_argument("--t", type=float, default=d.stability,
+                        help="similarity stability constant (default %(default)s)")
+    parser.add_argument("--alpha", type=float, default=d.alpha,
+                        help="fusion weight of the complexity feature (default %(default)s)")
+    parser.add_argument("--sampling", choices=SAMPLING_STRATEGIES, default=d.sampling,
+                        help="seed sampling strategy (default %(default)s)")
+    parser.add_argument("--sampling-seed", type=int, default=d.sampling_seed,
+                        help="rng seed for --sampling random (default %(default)s)")
+    parser.add_argument("--weight-scheme", choices=WEIGHT_SCHEMES, default=d.weight_scheme,
+                        help="neighbor weight scheme (default %(default)s)")
+    parser.add_argument("--color-space", choices=COLOR_SPACES, default=d.color_space,
+                        help="color space of the features (default %(default)s)")
+    parser.add_argument("--eta-mode", choices=ETA_MODES, default=d.eta_mode,
+                        help="spread used by the sigmoid weights (default %(default)s)")
+    parser.add_argument("--color-weight-mode", choices=COLOR_WEIGHT_MODES,
+                        default=d.color_weight_mode,
+                        help="color difference channel weights (default %(default)s)")
     parser.add_argument("--threads", type=int, default=None,
                         help="worker threads: score's patches, batch's rows and reference "
                              "prepare (default: TCDM_THREADS or machine parallelism)")

@@ -13,15 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import MetricConfig, color_weights_for
-from .pointcloud import Point
-from .savar import PatchEncoding, cross_complexity, self_complexity
-from .segmentation import PatchPair
+from .savar import PatchEncoding, cross_complexity
+from .segmentation import Patch
 from .spatial import SpatialIndex, build_index, knn_batch
 
 __all__ = [
     "PatchFeatures",
+    "ReferencePatch",
     "complexity_similarity",
-    "g_difference",
     "difference_fields",
     "prediction_similarity",
     "patch_features",
@@ -44,6 +43,20 @@ class PatchFeatures:
     skipped: bool = False
 
 
+@dataclass(frozen=True)
+class ReferencePatch:
+    """A reference patch with everything scoring reuses across distorted
+    clouds: its index, self encoding and first difference field (the
+    field's neighbor rows and values). All but ``patch`` are None when the
+    patch has fewer than 2 points."""
+
+    patch: Patch
+    index: SpatialIndex | None
+    encoding: PatchEncoding | None
+    field_ids: np.ndarray | None
+    field_x: np.ndarray | None
+
+
 def complexity_similarity(c_self: float, c_cross: float, stability: float) -> float:
     """SSIM-style ratio of two complexities, 1 iff they coincide."""
     if c_self < 0 or c_cross < 0:
@@ -53,22 +66,13 @@ def complexity_similarity(c_self: float, c_cross: float, stability: float) -> fl
     return (2.0 * c_self * c_cross + stability) / (c_self * c_self + c_cross * c_cross + stability)
 
 
-def g_difference(a: Point, b: Point, color_weights) -> float:
-    """Combined geometry-color difference of two points.
+def _g_rows(anchor: np.ndarray, neighbors: np.ndarray, color_weights: np.ndarray) -> np.ndarray:
+    """Combined geometry-color difference g over (n, 6) anchors and their
+    (n, K, 6) neighbors.
 
     The weighted absolute color difference (plus one) scales the Euclidean
     position distance, so coincident positions always give zero.
     """
-    w = np.asarray(color_weights, dtype=np.float64)
-    if (w < 0).any():
-        raise ValueError("color weights must be nonnegative")
-    color_term = float((w * np.abs(a.color - b.color)).sum()) + 1.0
-    geom = float(np.sqrt(((a.position - b.position) ** 2).sum()))
-    return color_term * geom
-
-
-def _g_rows(anchor: np.ndarray, neighbors: np.ndarray, color_weights: np.ndarray) -> np.ndarray:
-    """Vectorized g over (n, 6) anchors and their (n, K, 6) neighbors."""
     dpos = neighbors[:, :, :3] - anchor[:, None, :3]
     geom = np.sqrt((dpos ** 2).sum(axis=2))
     dcol = np.abs(neighbors[:, :, 3:] - anchor[:, None, 3:])
@@ -135,47 +139,31 @@ def prediction_similarity(field_x: np.ndarray, field_y: np.ndarray, stability: f
 _EMPTY_DIAGNOSTICS = (0.0, 0.0, 0.0, 0.0)
 
 
-def patch_features(pair: PatchPair, config: MetricConfig | None = None,
-                   self_encoding: PatchEncoding | None = None,
-                   field_x: np.ndarray | None = None,
-                   field_ids: np.ndarray | None = None,
-                   ref_index: SpatialIndex | None = None) -> PatchFeatures:
-    """Compute the feature triple of one patch pair.
+def patch_features(ref: ReferencePatch, dist: Patch,
+                   config: MetricConfig | None = None) -> PatchFeatures:
+    """Compute the feature triple of one prepared reference patch and its
+    distorted counterpart.
 
-    Reference patches with fewer than 2 points are skipped; an empty
-    distorted patch means the cell lost all content and scores 0 on every
-    feature. Reference-side intermediates (self encoding, first field, the
-    reference patch's index) may be passed in when the caller scores many
-    distorted clouds against one reference.
+    Reference patches with fewer than 2 points carry no encoding and are
+    skipped; an empty distorted patch means the cell lost all content and
+    scores 0 on every feature.
     """
     config = config or MetricConfig()
-    n_ref, n_dist = pair.ref.count, pair.dist.count
-    if n_ref < 2:
+    enc = ref.encoding
+    if enc is None:
         return PatchFeatures(0.0, 0.0, 0.0, _EMPTY_DIAGNOSTICS, skipped=True)
-    if ref_index is None:
-        ref_index = build_index(pair.ref.positions)
-    if self_encoding is None:
-        self_encoding = self_complexity(pair.ref, config.neighbors, config.weight_scheme,
-                                        config.eta_mode, config.ridge, patch_index=ref_index)
-    if n_dist == 0:
-        diag = (self_encoding.complexity_geometry, 0.0, self_encoding.complexity_color, 0.0)
+    if dist.count == 0:
+        diag = (enc.complexity_geometry, 0.0, enc.complexity_color, 0.0)
         return PatchFeatures(0.0, 0.0, 0.0, diag, skipped=False)
-    cross_encoding = cross_complexity(pair.ref, pair.dist, config.neighbors,
-                                      config.weight_scheme, config.eta_mode, config.ridge,
-                                      ref_index=ref_index)
-    f1_geom = complexity_similarity(self_encoding.complexity_geometry,
-                                    cross_encoding.complexity_geometry, config.stability)
-    f1_col = complexity_similarity(self_encoding.complexity_color,
-                                   cross_encoding.complexity_color, config.stability)
-    weights = color_weights_for(config)
-    if field_x is None or field_ids is None:
-        field_ids = _field_neighbor_ids(self_encoding.predictions, config.neighbors,
-                                        ref_index.order)
-        field_x = _g_rows(self_encoding.predictions,
-                          self_encoding.predictions[field_ids], weights)
-    field_y = _g_rows(cross_encoding.predictions,
-                      cross_encoding.predictions[field_ids], weights)
-    f2 = prediction_similarity(field_x, field_y, config.stability)
-    diag = (self_encoding.complexity_geometry, cross_encoding.complexity_geometry,
-            self_encoding.complexity_color, cross_encoding.complexity_color)
+    cross = cross_complexity(ref.patch, dist, config.neighbors, config.weight_scheme,
+                             config.eta_mode, config.ridge, ref_index=ref.index)
+    f1_geom = complexity_similarity(enc.complexity_geometry, cross.complexity_geometry,
+                                    config.stability)
+    f1_col = complexity_similarity(enc.complexity_color, cross.complexity_color,
+                                   config.stability)
+    field_y = _g_rows(cross.predictions, cross.predictions[ref.field_ids],
+                      color_weights_for(config))
+    f2 = prediction_similarity(ref.field_x, field_y, config.stability)
+    diag = (enc.complexity_geometry, cross.complexity_geometry,
+            enc.complexity_color, cross.complexity_color)
     return PatchFeatures(f1_geom, f1_col, f2, diag, skipped=False)

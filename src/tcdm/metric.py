@@ -20,17 +20,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_CONFIG, MetricConfig, color_weights_for, rgb_to_yuv
-from .features import PatchFeatures, _field_neighbor_ids, _g_rows, patch_features
+from .features import ReferencePatch, _field_neighbor_ids, _g_rows, patch_features
 from .pointcloud import PointCloud
-from .savar import PatchEncoding, self_complexity
-from .segmentation import Patch, PatchPair, nearest_seed_labels, select_seeds
-from .spatial import SpatialIndex, build_index
+from .savar import self_complexity
+from .segmentation import Patch, nearest_seed_labels, select_seeds, split_patches
+from .spatial import build_index
 
 __all__ = [
     "MetricConfig",
     "PatchCounts",
     "QualityReport",
     "ReferenceState",
+    "encode_reference_patch",
     "prepare_reference",
     "score",
     "score_with_reference",
@@ -95,16 +96,6 @@ class QualityReport:
 
 
 @dataclass(frozen=True)
-class _ReferencePatch:
-    patch: Patch
-    # the rest is None when the patch is degenerate
-    index: SpatialIndex | None
-    encoding: PatchEncoding | None
-    field_ids: np.ndarray | None
-    field_x: np.ndarray | None
-
-
-@dataclass(frozen=True)
 class ReferenceState:
     """Everything scoring needs that depends only on the reference."""
 
@@ -133,21 +124,17 @@ def _working_colors(cloud: PointCloud, config: MetricConfig) -> np.ndarray:
     return cloud.colors
 
 
-def _patches_for(positions: np.ndarray, colors: np.ndarray, labels: np.ndarray,
-                 seed_positions: np.ndarray) -> list:
-    n_seeds = seed_positions.shape[0]
-    # stable sort groups members per label while keeping cloud order
-    order = np.argsort(labels, kind="stable")
-    bounds = np.concatenate([[0], np.cumsum(np.bincount(labels, minlength=n_seeds))])
-    patches = []
-    for l in range(n_seeds):
-        members = order[bounds[l]:bounds[l + 1]]
-        patches.append(Patch(
-            indices=members,
-            positions=positions[members] - seed_positions[l],
-            colors=colors[members],
-        ))
-    return patches
+def encode_reference_patch(patch: Patch, config: MetricConfig) -> ReferencePatch:
+    """Index a reference patch, encode it from itself and compute its first
+    difference field; a patch under 2 points gets none of these."""
+    if patch.count < 2:
+        return ReferencePatch(patch, None, None, None, None)
+    index = build_index(patch.positions)
+    enc = self_complexity(patch, config.neighbors, config.weight_scheme,
+                          config.eta_mode, config.ridge, patch_index=index)
+    ids = _field_neighbor_ids(enc.predictions, config.neighbors, index.order)
+    fx = _g_rows(enc.predictions, enc.predictions[ids], color_weights_for(config))
+    return ReferencePatch(patch, index, enc, ids, fx)
 
 
 def _map_patches(fn, ref_patches: list, config: MetricConfig, threads: int | None,
@@ -176,21 +163,9 @@ def prepare_reference(reference: PointCloud, config: MetricConfig | None = None,
     colors = _working_colors(reference, config)
     seeds = select_seeds(reference, config.seeds, config.sampling, config.sampling_seed)
     labels = nearest_seed_labels(reference.positions, seeds.positions)
-    weights = color_weights_for(config)
-    ref_patches = _patches_for(reference.positions, colors, labels, seeds.positions)
-
-    def encode(l: int) -> _ReferencePatch:
-        patch = ref_patches[l]
-        if patch.count < 2:
-            return _ReferencePatch(patch, None, None, None, None)
-        index = build_index(patch.positions)
-        enc = self_complexity(patch, config.neighbors, config.weight_scheme,
-                              config.eta_mode, config.ridge, patch_index=index)
-        ids = _field_neighbor_ids(enc.predictions, config.neighbors, index.order)
-        fx = _g_rows(enc.predictions, enc.predictions[ids], weights)
-        return _ReferencePatch(patch, index, enc, ids, fx)
-
-    prepared = _map_patches(encode, ref_patches, config, threads, "prepare")
+    ref_patches = split_patches(reference.positions, colors, labels, seeds.positions)
+    prepared = _map_patches(lambda l: encode_reference_patch(ref_patches[l], config),
+                            ref_patches, config, threads, "prepare")
     return ReferenceState(config=config, seed_positions=seeds.positions,
                           ref_points=reference.count, patches=prepared)
 
@@ -202,18 +177,11 @@ def score_with_reference(state: ReferenceState, distorted: PointCloud,
     config = state.config
     colors = _working_colors(distorted, config)
     labels = nearest_seed_labels(distorted.positions, state.seed_positions)
-    dist_patches = _patches_for(distorted.positions, colors, labels, state.seed_positions)
-
-    def one(l: int) -> PatchFeatures:
-        ref = state.patches[l]
-        pair = PatchPair(l, state.seed_positions[l], ref.patch, dist_patches[l])
-        return patch_features(pair, config, self_encoding=ref.encoding,
-                              field_x=ref.field_x, field_ids=ref.field_ids,
-                              ref_index=ref.index)
-
-    feats = _map_patches(one, [r.patch for r in state.patches], config, threads, "score")
-    empty = sum(1 for l in range(len(feats))
-                if state.patches[l].patch.count >= 2 and dist_patches[l].count == 0)
+    dist_patches = split_patches(distorted.positions, colors, labels, state.seed_positions)
+    feats = _map_patches(lambda l: patch_features(state.patches[l], dist_patches[l], config),
+                         [r.patch for r in state.patches], config, threads, "score")
+    empty = sum(1 for ref, dist in zip(state.patches, dist_patches)
+                if ref.encoding is not None and dist.count == 0)
     return _fuse(feats, config, state.ref_points, distorted.count, empty)
 
 

@@ -288,8 +288,7 @@ def self_complexity(patch: Patch, k: int, scheme: str = "sigmoid_proposed",
 def cross_complexity(ref_patch: Patch, dist_patch: Patch, k: int,
                      scheme: str = "sigmoid_proposed", eta_mode: str = "std",
                      ridge: float = 1e-8,
-                     ref_index: SpatialIndex | None = None,
-                     dist_index: SpatialIndex | None = None) -> PatchEncoding:
+                     ref_index: SpatialIndex | None = None) -> PatchEncoding:
     """Encode the reference patch from neighborhoods in the distorted patch.
 
     The closest distorted point is excluded from each neighbor list, the
@@ -304,4 +303,4 @@ def cross_complexity(ref_patch: Patch, dist_patch: Patch, k: int,
         raise ValueError("cross-prediction needs a nonempty distorted patch")
     index = ref_index if ref_index is not None else build_index(ref_patch.positions)
     return _encode(ref_patch, dist_patch, k, "nearest", scheme, eta_mode, ridge,
-                   index, dist_index)
+                   index, None)

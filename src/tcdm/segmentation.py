@@ -1,9 +1,10 @@
-"""Seed-induced space partition into aligned local patch pairs.
+"""Seed-induced space partition into aligned local patches.
 
 The reference cloud supplies a set of generating seeds; every point of both
 clouds is labeled with its nearest seed, which realizes the cells of the
 seeds' Voronoi diagram without ever materializing polyhedra. Members of a
 cell form a patch; each patch is translated so its seed sits at the origin.
+Patch ``l`` of the reference and patch ``l`` of a distorted cloud form a pair.
 """
 
 from __future__ import annotations
@@ -17,12 +18,10 @@ from .spatial import build_index, farthest_point_sampling, knn_batch, random_sam
 
 __all__ = [
     "SeedSet",
-    "VoronoiPartition",
     "Patch",
-    "PatchPair",
     "select_seeds",
-    "assign_partition",
-    "build_patch_pairs",
+    "nearest_seed_labels",
+    "split_patches",
 ]
 
 
@@ -39,14 +38,6 @@ class SeedSet:
 
 
 @dataclass(frozen=True)
-class VoronoiPartition:
-    """Per-point nearest-seed labels for both clouds."""
-
-    labels_ref: np.ndarray
-    labels_dist: np.ndarray
-
-
-@dataclass(frozen=True)
 class Patch:
     """Points of one cell, translated so the seed is at the origin."""
 
@@ -57,14 +48,6 @@ class Patch:
     @property
     def count(self) -> int:
         return self.positions.shape[0]
-
-
-@dataclass(frozen=True)
-class PatchPair:
-    seed_index: int
-    seed_position: np.ndarray
-    ref: Patch
-    dist: Patch
 
 
 def select_seeds(reference: PointCloud, count: int, strategy: str = "fps",
@@ -89,35 +72,19 @@ def nearest_seed_labels(positions: np.ndarray, seed_positions: np.ndarray) -> np
     return labels[:, 0]
 
 
-def assign_partition(reference: PointCloud, distorted: PointCloud,
-                     seeds: SeedSet) -> VoronoiPartition:
-    """Assign every point of both clouds to its nearest seed's cell."""
-    return VoronoiPartition(
-        labels_ref=nearest_seed_labels(reference.positions, seeds.positions),
-        labels_dist=nearest_seed_labels(distorted.positions, seeds.positions),
-    )
-
-
-def _extract_patch(cloud: PointCloud, labels: np.ndarray, seed_idx: int,
-                   seed_position: np.ndarray) -> Patch:
-    members = np.flatnonzero(labels == seed_idx)
-    return Patch(
-        indices=members,
-        positions=cloud.positions[members] - seed_position,
-        colors=cloud.colors[members].copy(),
-    )
-
-
-def build_patch_pairs(reference: PointCloud, distorted: PointCloud,
-                      partition: VoronoiPartition, seeds: SeedSet) -> list[PatchPair]:
-    """One PatchPair per seed, in seed order; patch members keep cloud order."""
-    pairs = []
-    for l in range(seeds.count):
-        seed_pos = seeds.positions[l]
-        pairs.append(PatchPair(
-            seed_index=l,
-            seed_position=seed_pos,
-            ref=_extract_patch(reference, partition.labels_ref, l, seed_pos),
-            dist=_extract_patch(distorted, partition.labels_dist, l, seed_pos),
+def split_patches(positions: np.ndarray, colors: np.ndarray, labels: np.ndarray,
+                  seed_positions: np.ndarray) -> list[Patch]:
+    """One patch per seed, in seed order; patch members keep cloud order."""
+    n_seeds = seed_positions.shape[0]
+    # stable sort groups members per label while keeping cloud order
+    order = np.argsort(labels, kind="stable")
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(labels, minlength=n_seeds))])
+    patches = []
+    for l in range(n_seeds):
+        members = order[bounds[l]:bounds[l + 1]]
+        patches.append(Patch(
+            indices=members,
+            positions=positions[members] - seed_positions[l],
+            colors=colors[members],
         ))
-    return pairs
+    return patches

@@ -7,6 +7,8 @@ plain-Python rank statistics. Tests compare the package against these.
 
 import numpy as np
 
+from tcdm.pointcloud import Point
+
 
 def knn_oracle(positions, query, k, exclude=None):
     """Exhaustive nearest-neighbor scan with the composite tie ordering.
@@ -56,6 +58,20 @@ def fps_oracle(positions, count):
         min_d2[c] = -1.0
         picked.append(int(np.argmax(min_d2)))
     return order[np.array(picked, dtype=np.intp)]
+
+
+def g_difference(a: Point, b: Point, color_weights) -> float:
+    """Combined geometry-color difference of two points, one pair at a time.
+
+    The weighted absolute color difference (plus one) scales the Euclidean
+    position distance, so coincident positions always give zero.
+    """
+    w = np.asarray(color_weights, dtype=np.float64)
+    if (w < 0).any():
+        raise ValueError("color weights must be nonnegative")
+    color_term = float((w * np.abs(a.color - b.color)).sum()) + 1.0
+    geom = float(np.sqrt(((a.position - b.position) ** 2).sum()))
+    return color_term * geom
 
 
 def pinv_predictions(design, targets):

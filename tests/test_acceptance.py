@@ -20,7 +20,7 @@ from tcdm.features import complexity_similarity, prediction_similarity
 from tcdm.metric import prepare_reference, score, score_with_reference
 from tcdm.pointcloud import DegradationSpec, PointCloud, degrade
 from tcdm.savar import fit_savar, sigmoid_distance_values, spatial_weights
-from tcdm.segmentation import assign_partition, build_patch_pairs, select_seeds
+from tcdm.segmentation import nearest_seed_labels, select_seeds, split_patches
 from tcdm.synthetic import noisy_torus_cloud, plane_cloud, sphere_cloud
 
 from oracles import (kron_solve, pinv_predictions, rmse_oracle, spearman_oracle,
@@ -50,12 +50,15 @@ def test_criterion_01_partition_soundness():
         dist = PointCloud(rng.uniform(-50, 50, size=(m, 3)),
                           rng.integers(0, 256, size=(m, 3)).astype(float))
         seeds = select_seeds(ref, min(400, n), strategy="random", rng_seed=trial)
-        part = assign_partition(ref, dist, seeds)
-        pairs = build_patch_pairs(ref, dist, part, seeds)
-        assert sum(p.ref.count for p in pairs) == n
-        assert sum(p.dist.count for p in pairs) == m
-        ref_members = np.concatenate([p.ref.indices for p in pairs])
-        dist_members = np.concatenate([p.dist.indices for p in pairs])
+        sp = seeds.positions
+        refs = split_patches(ref.positions, ref.colors,
+                             nearest_seed_labels(ref.positions, sp), sp)
+        dists = split_patches(dist.positions, dist.colors,
+                              nearest_seed_labels(dist.positions, sp), sp)
+        assert sum(p.count for p in refs) == n
+        assert sum(p.count for p in dists) == m
+        ref_members = np.concatenate([p.indices for p in refs])
+        dist_members = np.concatenate([p.indices for p in dists])
         assert np.array_equal(np.sort(ref_members), np.arange(n))
         assert np.array_equal(np.sort(dist_members), np.arange(m))
     elapsed = time.perf_counter() - start

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from tcdm.cli import main
+from tcdm.cli import _config_from, build_parser, main
+from tcdm.config import MetricConfig
 from tcdm.pointcloud import load_ply, save_ply
 from tcdm.synthetic import sphere_cloud
 
@@ -140,6 +141,19 @@ class TestBatchCommand:
         out = ply_pair / "report_eval.csv"
         assert main(["eval", str(manifest), "--out", str(out)] + CONFIG_FLAGS) == 0
         assert out.exists()
+
+
+class TestConfigFlags:
+    @pytest.mark.parametrize("argv", [["score", "a", "b"], ["batch", "m.csv"]])
+    def test_defaults_are_the_metric_defaults(self, argv):
+        assert _config_from(build_parser().parse_args(argv)) == MetricConfig()
+
+    def test_help_shows_defaults(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["score", "--help"])
+        out = capsys.readouterr().out
+        assert "(default 400)" in out
+        assert "(default sigmoid_proposed)" in out
 
 
 class TestThreadsVariable:

@@ -4,21 +4,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tcdm.config import MetricConfig, color_weights_for
-from tcdm.features import (complexity_similarity, difference_fields, g_difference,
-                           patch_features, prediction_similarity)
+from tcdm.features import (_g_rows, complexity_similarity, difference_fields, patch_features,
+                           prediction_similarity)
+from tcdm.metric import encode_reference_patch
 from tcdm.pointcloud import Point
-from tcdm.segmentation import Patch, PatchPair
+from tcdm.segmentation import Patch
+
+from oracles import g_difference
 
 
 RGB_W = np.array([0.25, 0.5, 0.25])
 
 
 def make_pair(rng, n_ref, n_dist, scale=5.0):
+    """A prepared reference patch and a distorted patch, both random."""
     ref = Patch(np.arange(n_ref), rng.uniform(-scale, scale, size=(n_ref, 3)),
                 rng.uniform(0, 255, size=(n_ref, 3)))
     dist = Patch(np.arange(n_dist), rng.uniform(-scale, scale, size=(n_dist, 3)),
                  rng.uniform(0, 255, size=(n_dist, 3)))
-    return PatchPair(0, np.zeros(3), ref, dist)
+    return encode_reference_patch(ref, MetricConfig()), dist
+
+
+def g_pair(a: Point, b: Point, color_weights) -> float:
+    """The pipeline's vectorized g on one anchor and one neighbor."""
+    anchor = np.concatenate([a.position, a.color])[None, :]
+    neighbor = np.concatenate([b.position, b.color])[None, None, :]
+    return float(_g_rows(anchor, neighbor, np.asarray(color_weights, dtype=np.float64))[0, 0])
 
 
 class TestComplexitySimilarity:
@@ -60,17 +71,17 @@ class TestComplexitySimilarity:
 class TestGDifference:
     def test_identical_points_zero(self):
         p = Point(np.array([1.0, 2, 3]), np.array([9.0, 8, 7]))
-        assert g_difference(p, p, RGB_W) == 0.0
+        assert g_pair(p, p, RGB_W) == 0.0
 
     def test_unit_geometry_offset_same_color(self):
         a = Point(np.array([0.0, 0, 0]), np.array([5.0, 5, 5]))
         b = Point(np.array([1.0, 0, 0]), np.array([5.0, 5, 5]))
-        assert g_difference(a, b, RGB_W) == 1.0
+        assert g_pair(a, b, RGB_W) == 1.0
 
     def test_zero_geometry_any_color_is_zero(self):
         a = Point(np.array([1.0, 1, 1]), np.array([0.0, 0, 0]))
         b = Point(np.array([1.0, 1, 1]), np.array([255.0, 255, 255]))
-        assert g_difference(a, b, RGB_W) == 0.0
+        assert g_pair(a, b, RGB_W) == 0.0
 
     @given(seed=st.integers(0, 9999))
     @settings(max_examples=30)
@@ -78,13 +89,26 @@ class TestGDifference:
         rng = np.random.default_rng(seed)
         a = Point(rng.uniform(-5, 5, 3), rng.uniform(0, 255, 3))
         b = Point(rng.uniform(-5, 5, 3), rng.uniform(0, 255, 3))
-        assert g_difference(a, b, RGB_W) == g_difference(b, a, RGB_W)
+        assert g_pair(a, b, RGB_W) == g_pair(b, a, RGB_W)
 
     def test_color_weighting(self):
         a = Point(np.array([0.0, 0, 0]), np.array([0.0, 0, 0]))
         b = Point(np.array([0.0, 0, 2.0]), np.array([10.0, 4.0, 8.0]))
         want = (0.25 * 10 + 0.5 * 4 + 0.25 * 8 + 1.0) * 2.0
-        assert abs(g_difference(a, b, RGB_W) - want) < 1e-12
+        assert abs(g_pair(a, b, RGB_W) - want) < 1e-12
+
+    @pytest.mark.parametrize("color_space", ["rgb", "yuv"])
+    def test_rows_match_scalar_oracle(self, rng, color_space):
+        weights = color_weights_for(MetricConfig(color_space=color_space))
+        anchor = np.column_stack([rng.uniform(-5, 5, size=(40, 3)),
+                                  rng.uniform(0, 255, size=(40, 3))])
+        ids = rng.integers(0, 40, size=(40, 7))
+        got = _g_rows(anchor, anchor[ids], weights)
+        for i in range(40):
+            a = Point(anchor[i, :3], anchor[i, 3:])
+            want = [g_difference(a, Point(anchor[j, :3], anchor[j, 3:]), weights)
+                    for j in ids[i]]
+            assert got[i].tolist() == want
 
 
 class TestDifferenceFields:
@@ -152,30 +176,30 @@ class TestPredictionSimilarity:
 
 class TestPatchFeatures:
     def test_degenerate_reference_is_skipped(self, rng):
-        pair = make_pair(rng, 1, 10)
-        out = patch_features(pair, MetricConfig())
+        ref, dist = make_pair(rng, 1, 10)
+        out = patch_features(ref, dist, MetricConfig())
         assert out.skipped
 
     def test_empty_distorted_patch_rule(self, rng):
-        pair = make_pair(rng, 30, 0)
-        out = patch_features(pair, MetricConfig())
+        ref, dist = make_pair(rng, 30, 0)
+        out = patch_features(ref, dist, MetricConfig())
         assert not out.skipped
         assert (out.f1_geometry, out.f1_color, out.f2) == (0.0, 0.0, 0.0)
 
     def test_duplicate_cloud_perfect_features(self, rng):
+        cfg = MetricConfig(neighbors=8)
         for _ in range(20):
             n = int(rng.integers(10, 60))
             ref = Patch(np.arange(n), rng.uniform(-3, 3, size=(n, 3)),
                         rng.uniform(0, 255, size=(n, 3)))
-            pair = PatchPair(0, np.zeros(3), ref, ref)
-            out = patch_features(pair, MetricConfig(neighbors=8))
+            out = patch_features(encode_reference_patch(ref, cfg), ref, cfg)
             assert out.f1_geometry == 1.0
             assert out.f1_color == 1.0
             assert out.f2 >= 0.99
 
     def test_random_pair_features_finite(self, rng):
-        pair = make_pair(rng, 200, 180)
-        out = patch_features(pair, MetricConfig())
+        ref, dist = make_pair(rng, 200, 180)
+        out = patch_features(ref, dist, MetricConfig())
         for value in (out.f1_geometry, out.f1_color, out.f2):
             assert np.isfinite(value)
         assert 0.0 <= out.f1_geometry <= 1.0

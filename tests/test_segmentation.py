@@ -2,11 +2,19 @@ import numpy as np
 import pytest
 
 from tcdm.pointcloud import PointCloud
-from tcdm.segmentation import (assign_partition, build_patch_pairs,
-                               nearest_seed_labels, select_seeds)
+from tcdm.segmentation import nearest_seed_labels, select_seeds, split_patches
 
 from conftest import random_cloud
 from oracles import nearest_seed_oracle
+
+
+def patch_pairs(ref, dist, seeds):
+    """(reference patch, distorted patch) per seed, as the pipeline splits them."""
+    sp = seeds.positions
+    refs = split_patches(ref.positions, ref.colors, nearest_seed_labels(ref.positions, sp), sp)
+    dists = split_patches(dist.positions, dist.colors,
+                          nearest_seed_labels(dist.positions, sp), sp)
+    return list(zip(refs, dists))
 
 
 @pytest.fixture
@@ -24,9 +32,8 @@ class TestSelectSeeds:
     def test_single_seed_covers_everything(self, cloud_pair):
         ref, dist = cloud_pair
         seeds = select_seeds(ref, 1)
-        part = assign_partition(ref, dist, seeds)
-        assert np.all(part.labels_ref == 0)
-        assert np.all(part.labels_dist == 0)
+        assert np.all(nearest_seed_labels(ref.positions, seeds.positions) == 0)
+        assert np.all(nearest_seed_labels(dist.positions, seeds.positions) == 0)
 
     def test_fps_cube_corners(self):
         corners = np.array([[x, y, z] for x in (0.0, 1) for y in (0.0, 1) for z in (0.0, 1)])
@@ -50,18 +57,19 @@ class TestAssignPartition:
     def test_counts_are_exhaustive(self, cloud_pair):
         ref, dist = cloud_pair
         seeds = select_seeds(ref, 25)
-        part = assign_partition(ref, dist, seeds)
-        ref_counts = np.bincount(part.labels_ref, minlength=25)
-        dist_counts = np.bincount(part.labels_dist, minlength=25)
+        ref_counts = np.bincount(nearest_seed_labels(ref.positions, seeds.positions),
+                                 minlength=25)
+        dist_counts = np.bincount(nearest_seed_labels(dist.positions, seeds.positions),
+                                  minlength=25)
         assert ref_counts.sum() == ref.count
         assert dist_counts.sum() == dist.count
 
     def test_point_on_seed_gets_that_label(self, cloud_pair):
-        ref, dist = cloud_pair
+        ref, _ = cloud_pair
         seeds = select_seeds(ref, 25)
-        part = assign_partition(ref, dist, seeds)
+        labels = nearest_seed_labels(ref.positions, seeds.positions)
         for l, idx in enumerate(seeds.indices):
-            assert part.labels_ref[idx] == l
+            assert labels[idx] == l
 
     def test_two_seed_hand_case(self):
         ref = PointCloud(np.array([[0.0, 0, 0], [10.0, 0, 0], [4.0, 0, 0], [6.0, 0, 0]]),
@@ -76,9 +84,9 @@ class TestAssignPartition:
     def test_matches_knn_oracle(self, cloud_pair):
         ref, dist = cloud_pair
         seeds = select_seeds(ref, 25)
-        part = assign_partition(ref, dist, seeds)
+        labels = nearest_seed_labels(dist.positions, seeds.positions)
         for i in range(0, dist.count, 37):
-            assert part.labels_dist[i] == nearest_seed_oracle(dist.positions[i], seeds.positions)
+            assert labels[i] == nearest_seed_oracle(dist.positions[i], seeds.positions)
 
     def test_tie_goes_to_lower_ranked_seed(self):
         # point equidistant to seeds at x=0 and x=2: lex order prefers x=0
@@ -120,60 +128,54 @@ class TestBuildPatchPairs:
     def test_partition_properties(self, cloud_pair):
         ref, dist = cloud_pair
         seeds = select_seeds(ref, 25)
-        part = assign_partition(ref, dist, seeds)
-        pairs = build_patch_pairs(ref, dist, part, seeds)
+        pairs = patch_pairs(ref, dist, seeds)
         assert len(pairs) == 25
-        assert sum(p.ref.count for p in pairs) == ref.count
-        assert sum(p.dist.count for p in pairs) == dist.count
-        all_ref = np.concatenate([p.ref.indices for p in pairs])
+        assert sum(r.count for r, _ in pairs) == ref.count
+        assert sum(d.count for _, d in pairs) == dist.count
+        all_ref = np.concatenate([r.indices for r, _ in pairs])
         assert len(set(all_ref.tolist())) == ref.count
 
     def test_seed_point_translates_to_origin(self, cloud_pair):
         ref, dist = cloud_pair
         seeds = select_seeds(ref, 25)
-        part = assign_partition(ref, dist, seeds)
-        pairs = build_patch_pairs(ref, dist, part, seeds)
-        for pair in pairs:
-            where = np.flatnonzero(pair.ref.indices == seeds.indices[pair.seed_index])
+        pairs = patch_pairs(ref, dist, seeds)
+        for l, (r, _) in enumerate(pairs):
+            where = np.flatnonzero(r.indices == seeds.indices[l])
             assert len(where) == 1
-            assert np.array_equal(pair.ref.positions[where[0]], [0.0, 0.0, 0.0])
+            assert np.array_equal(r.positions[where[0]], [0.0, 0.0, 0.0])
 
     def test_translation_reconstructs_members(self, cloud_pair):
         ref, dist = cloud_pair
         seeds = select_seeds(ref, 25)
-        part = assign_partition(ref, dist, seeds)
-        pairs = build_patch_pairs(ref, dist, part, seeds)
-        for pair in pairs:
-            original = ref.positions[pair.ref.indices]
-            back = pair.ref.positions + pair.seed_position
+        pairs = patch_pairs(ref, dist, seeds)
+        for (r, _), seed_position in zip(pairs, seeds.positions):
+            original = ref.positions[r.indices]
+            back = r.positions + seed_position
             assert np.abs(back - original).max() <= 1e-12 * max(1.0, np.abs(original).max())
-            assert np.array_equal(pair.ref.colors, ref.colors[pair.ref.indices])
+            assert np.array_equal(r.colors, ref.colors[r.indices])
 
     def test_members_keep_cloud_order(self, cloud_pair):
         ref, dist = cloud_pair
         seeds = select_seeds(ref, 25)
-        part = assign_partition(ref, dist, seeds)
-        pairs = build_patch_pairs(ref, dist, part, seeds)
-        for pair in pairs:
-            assert np.all(np.diff(pair.ref.indices) > 0)
-            assert np.all(np.diff(pair.dist.indices) > 0)
+        pairs = patch_pairs(ref, dist, seeds)
+        for r, d in pairs:
+            assert np.all(np.diff(r.indices) > 0)
+            assert np.all(np.diff(d.indices) > 0)
 
     def test_joint_translation_invariance(self, cloud_pair):
         ref, dist = cloud_pair
         shift = np.array([5.5, -2.0, 11.0])
         seeds = select_seeds(ref, 10)
-        part = assign_partition(ref, dist, seeds)
-        pairs = build_patch_pairs(ref, dist, part, seeds)
+        pairs = patch_pairs(ref, dist, seeds)
 
         ref_t = ref.translated(shift)
         dist_t = dist.translated(shift)
         seeds_t = select_seeds(ref_t, 10)
-        part_t = assign_partition(ref_t, dist_t, seeds_t)
-        pairs_t = build_patch_pairs(ref_t, dist_t, part_t, seeds_t)
-        for a, b in zip(pairs, pairs_t):
-            assert np.array_equal(a.ref.indices, b.ref.indices)
-            assert np.array_equal(a.dist.indices, b.dist.indices)
-            assert np.abs(a.ref.positions - b.ref.positions).max() < 1e-9
+        pairs_t = patch_pairs(ref_t, dist_t, seeds_t)
+        for (ra, da), (rb, db) in zip(pairs, pairs_t):
+            assert np.array_equal(ra.indices, rb.indices)
+            assert np.array_equal(da.indices, db.indices)
+            assert np.abs(ra.positions - rb.positions).max() < 1e-9
 
     def test_permutation_invariance_of_memberships(self, rng):
         ref = random_cloud(300, rng)
@@ -185,23 +187,20 @@ class TestBuildPatchPairs:
         seeds_p = select_seeds(ref_p, 12)
         assert np.array_equal(seeds.positions, seeds_p.positions)
 
-        part = assign_partition(ref, dist, seeds)
-        part_p = assign_partition(ref_p, dist, seeds_p)
-        pairs = build_patch_pairs(ref, dist, part, seeds)
-        pairs_p = build_patch_pairs(ref_p, dist, part_p, seeds_p)
-        for a, b in zip(pairs, pairs_p):
+        pairs = patch_pairs(ref, dist, seeds)
+        pairs_p = patch_pairs(ref_p, dist, seeds_p)
+        for (ra, da), (rb, db) in zip(pairs, pairs_p):
             # same members as coordinate multisets
-            sa = sorted(map(tuple, a.ref.positions.tolist()))
-            sb = sorted(map(tuple, b.ref.positions.tolist()))
+            sa = sorted(map(tuple, ra.positions.tolist()))
+            sb = sorted(map(tuple, rb.positions.tolist()))
             assert sa == sb
-            assert np.array_equal(a.dist.indices, b.dist.indices)
+            assert np.array_equal(da.indices, db.indices)
 
     def test_empty_distorted_patch_is_represented(self):
         ref = PointCloud(np.array([[0.0, 0, 0], [0.1, 0, 0], [10.0, 0, 0], [10.1, 0, 0]]),
                          np.zeros((4, 3)))
         dist = PointCloud(np.array([[0.05, 0.0, 0.0]]), np.zeros((1, 3)))
         seeds = select_seeds(ref, 2, strategy="fps")
-        part = assign_partition(ref, dist, seeds)
-        pairs = build_patch_pairs(ref, dist, part, seeds)
-        counts = sorted(p.dist.count for p in pairs)
+        pairs = patch_pairs(ref, dist, seeds)
+        counts = sorted(d.count for _, d in pairs)
         assert counts == [0, 1]
