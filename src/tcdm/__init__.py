@@ -11,8 +11,7 @@ from .config import DEFAULT_CONFIG, MetricConfig
 from .evaluation import (CorrelationSummary, f_test, fit_logistic5, plcc, rmse,
                          run_benchmark, srocc)
 from .metric import QualityReport, prepare_reference, score, score_with_reference
-from .pointcloud import (DegradationSpec, PlyError, Point, PointCloud, degrade,
-                         load_ply, save_ply)
+from .pointcloud import DegradationSpec, PlyError, PointCloud, degrade, load_ply, save_ply
 from .segmentation import SeedSet, select_seeds
 
 __version__ = "0.1.0"
@@ -20,7 +19,7 @@ __version__ = "0.1.0"
 __all__ = [
     "MetricConfig", "DEFAULT_CONFIG", "QualityReport",
     "score", "prepare_reference", "score_with_reference",
-    "PointCloud", "Point", "DegradationSpec", "PlyError",
+    "PointCloud", "DegradationSpec", "PlyError",
     "load_ply", "save_ply", "degrade",
     "SeedSet", "select_seeds",
     "plcc", "srocc", "rmse", "f_test", "fit_logistic5", "run_benchmark",

@@ -14,7 +14,8 @@ from .config import (COLOR_SPACES, COLOR_WEIGHT_MODES, DEFAULT_CONFIG, ETA_MODES
                      SAMPLING_STRATEGIES, WEIGHT_SCHEMES, MetricConfig)
 from .evaluation import run_benchmark
 from .metric import resolve_threads, score
-from .pointcloud import DegradationSpec, PlyError, degrade, load_ply, save_ply
+from .pointcloud import (DEGRADATION_KINDS, DegradationSpec, PlyError, degrade, load_ply,
+                         save_ply)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -119,18 +120,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p_score)
     p_score.set_defaults(handler=_cmd_score)
 
-    for name, help_text in (("batch", "score a manifest and correlate against MOS"),
-                            ("eval", "alias of batch")):
-        p_batch = sub.add_parser(name, help=help_text)
-        p_batch.add_argument("manifest")
-        p_batch.add_argument("--out", default=None,
-                             help="report CSV path (default: <manifest>.report.csv)")
-        _add_config_flags(p_batch)
-        p_batch.set_defaults(handler=_cmd_batch)
+    p_batch = sub.add_parser("batch", help="score a manifest and correlate against MOS")
+    p_batch.add_argument("manifest")
+    p_batch.add_argument("--out", default=None,
+                         help="report CSV path (default: <manifest>.report.csv)")
+    _add_config_flags(p_batch)
+    p_batch.set_defaults(handler=_cmd_batch)
 
     p_deg = sub.add_parser("degrade", help="apply a synthetic degradation")
     p_deg.add_argument("input")
-    p_deg.add_argument("kind", choices=("geometry_gaussian", "color_noise", "downsample"))
+    p_deg.add_argument("kind", choices=DEGRADATION_KINDS)
     p_deg.add_argument("level", type=float)
     p_deg.add_argument("seed", type=int)
     p_deg.add_argument("output")

@@ -61,9 +61,6 @@ class LogisticParams:
     beta4: float
     beta5: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.beta1, self.beta2, self.beta3, self.beta4, self.beta5])
-
 
 @dataclass
 class CorrelationSummary:

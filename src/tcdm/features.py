@@ -21,7 +21,6 @@ __all__ = [
     "PatchFeatures",
     "ReferencePatch",
     "complexity_similarity",
-    "difference_fields",
     "prediction_similarity",
     "patch_features",
 ]
@@ -77,25 +76,6 @@ def _g_rows(anchor: np.ndarray, neighbors: np.ndarray, color_weights: np.ndarray
     geom = np.sqrt((dpos ** 2).sum(axis=2))
     dcol = np.abs(neighbors[:, :, 3:] - anchor[:, None, 3:])
     return ((dcol * color_weights).sum(axis=2) + 1.0) * geom
-
-
-def difference_fields(x_hat: np.ndarray, y_hat: np.ndarray, k: int, color_weights):
-    """Point-wise difference fields over both reconstructed patches.
-
-    Neighbor lists are found once on the first reconstruction (self
-    excluded, short lists padded with the farthest neighbor) and reused
-    row-for-row on the second, so the two fields stay in correspondence.
-    """
-    x_hat = np.asarray(x_hat, dtype=np.float64)
-    y_hat = np.asarray(y_hat, dtype=np.float64)
-    if x_hat.shape != y_hat.shape or x_hat.ndim != 2 or x_hat.shape[1] != 6:
-        raise ValueError("prediction terms must be matching (n, 6) matrices")
-    n = x_hat.shape[0]
-    if n < 2:
-        raise ValueError("difference fields need at least 2 points")
-    ids = _field_neighbor_ids(x_hat, k, np.arange(n))
-    w = np.asarray(color_weights, dtype=np.float64)
-    return _g_rows(x_hat, x_hat[ids], w), _g_rows(y_hat, y_hat[ids], w)
 
 
 def _field_neighbor_ids(x_hat: np.ndarray, k: int, order: np.ndarray) -> np.ndarray:

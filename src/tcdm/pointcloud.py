@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Point",
     "PointCloud",
     "DegradationSpec",
     "PlyError",
@@ -45,14 +44,6 @@ class PlyError(ValueError):
     """A PLY file does not match the supported vertex schema."""
 
 
-@dataclass(frozen=True)
-class Point:
-    """A single point: 3D position plus a 3-channel color in [0, 255]."""
-
-    position: np.ndarray
-    color: np.ndarray
-
-
 @dataclass
 class PointCloud:
     """Ordered point set with per-point color attributes."""
@@ -74,9 +65,6 @@ class PointCloud:
     def count(self) -> int:
         return self.positions.shape[0]
 
-    def point(self, i: int) -> Point:
-        return Point(self.positions[i].copy(), self.colors[i].copy())
-
     def validate(self) -> None:
         """Raise ValueError if the cloud cannot enter the metric pipeline."""
         if self.count < 1:
@@ -92,9 +80,6 @@ class PointCloud:
             if np.isnan(self.colors[bad]).any():
                 raise ValueError(f"non-finite color at point {bad}")
             raise ValueError(f"color outside [0, 255] at point {bad}")
-
-    def translated(self, offset) -> "PointCloud":
-        return PointCloud(self.positions + np.asarray(offset, dtype=np.float64), self.colors.copy())
 
 
 @dataclass(frozen=True)

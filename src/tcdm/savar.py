@@ -28,9 +28,7 @@ __all__ = [
     "NeighborPlan",
     "SAVarFit",
     "PatchEncoding",
-    "spatial_weights",
     "sigmoid_distance_values",
-    "assemble_design",
     "build_neighbor_plan",
     "fit_savar",
     "self_complexity",
@@ -119,23 +117,6 @@ def _weights_from_distances(dist: np.ndarray, scheme: str, eta_mode: str) -> np.
     return d / d.sum(axis=1, keepdims=True)
 
 
-def spatial_weights(query_position, neighbor_positions, scheme: str = "sigmoid_proposed",
-                    eta_mode: str = "std") -> np.ndarray:
-    """Weights of K neighbors of one query point.
-
-    For the sigmoid scheme each raw weight is 1 / (1 + exp(-dist / eta))
-    with eta the standard deviation of the K query-to-neighbor distances,
-    so raw values lie in [0.5, 1) and the result is scale-invariant. A zero
-    spread (all neighbors equidistant) collapses to uniform weights.
-    """
-    q = np.asarray(query_position, dtype=np.float64).reshape(3)
-    nb = np.asarray(neighbor_positions, dtype=np.float64).reshape(-1, 3)
-    if nb.shape[0] < 1:
-        raise ValueError("at least one neighbor required")
-    dist = np.sqrt(((nb - q) ** 2).sum(axis=1))
-    return _weights_from_distances(dist[None, :], scheme, eta_mode)[0]
-
-
 def build_neighbor_plan(targets: Patch, source: Patch, k: int, exclude: str | None,
                         scheme: str, eta_mode: str,
                         source_index: SpatialIndex | None = None) -> NeighborPlan:
@@ -183,26 +164,6 @@ def _design_from_plan(plan: NeighborPlan, source_features: np.ndarray) -> np.nda
     n, k = plan.indices.shape
     blocks = source_features[plan.indices] * plan.weights[:, :, None]
     return blocks.reshape(n, k * source_features.shape[1])
-
-
-def assemble_design(targets: Patch, neighbor_source: Patch, k: int, channel: str,
-                    exclude: str | None = None, scheme: str = "sigmoid_proposed",
-                    eta_mode: str = "std"):
-    """Build (target matrix, design matrix) for one channel of one patch.
-
-    ``channel`` selects geometry (XYZ) or color features; neighbor search
-    and weights always run on geometry. ``exclude`` follows
-    ``build_neighbor_plan``: "self" for self-prediction, "nearest" for
-    cross-prediction, None for no exclusion.
-    """
-    if channel not in ("geometry", "color"):
-        raise ValueError(f"unknown channel {channel!r}")
-    if targets.count < 1:
-        raise ValueError("target patch is empty")
-    plan = build_neighbor_plan(targets, neighbor_source, k, exclude, scheme, eta_mode)
-    src = neighbor_source.positions if channel == "geometry" else neighbor_source.colors
-    tgt = targets.positions if channel == "geometry" else targets.colors
-    return tgt.copy(), _design_from_plan(plan, src)
 
 
 def _clamped_det(sigma: np.ndarray) -> float:
@@ -275,21 +236,21 @@ def _encode(targets: Patch, source: Patch, k: int, exclude: str | None, scheme: 
 
 
 def self_complexity(patch: Patch, k: int, scheme: str = "sigmoid_proposed",
-                    eta_mode: str = "std", ridge: float = 1e-8,
-                    patch_index: SpatialIndex | None = None) -> PatchEncoding:
+                    eta_mode: str = "std", ridge: float = 1e-8, *,
+                    patch_index: SpatialIndex) -> PatchEncoding:
     """Encode a patch from its own neighborhoods (each point excluded from
-    its neighbor list). Requires at least 2 points."""
+    its neighbor list), given the patch's index. Requires at least 2 points."""
     if patch.count < 2:
         raise ValueError("self-prediction needs a patch with >= 2 points")
-    index = patch_index if patch_index is not None else build_index(patch.positions)
-    return _encode(patch, patch, k, "self", scheme, eta_mode, ridge, index, index)
+    return _encode(patch, patch, k, "self", scheme, eta_mode, ridge, patch_index,
+                   patch_index)
 
 
 def cross_complexity(ref_patch: Patch, dist_patch: Patch, k: int,
                      scheme: str = "sigmoid_proposed", eta_mode: str = "std",
-                     ridge: float = 1e-8,
-                     ref_index: SpatialIndex | None = None) -> PatchEncoding:
-    """Encode the reference patch from neighborhoods in the distorted patch.
+                     ridge: float = 1e-8, *, ref_index: SpatialIndex) -> PatchEncoding:
+    """Encode the reference patch from neighborhoods in the distorted patch,
+    given the reference patch's index.
 
     The closest distorted point is excluded from each neighbor list, the
     cross analogue of self-exclusion: when the distorted patch equals the
@@ -301,6 +262,5 @@ def cross_complexity(ref_patch: Patch, dist_patch: Patch, k: int,
         raise ValueError("cross-prediction needs a reference patch with >= 2 points")
     if dist_patch.count < 1:
         raise ValueError("cross-prediction needs a nonempty distorted patch")
-    index = ref_index if ref_index is not None else build_index(ref_patch.positions)
     return _encode(ref_patch, dist_patch, k, "nearest", scheme, eta_mode, ridge,
-                   index, None)
+                   ref_index, None)

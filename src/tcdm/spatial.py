@@ -20,16 +20,12 @@ tie agreement, so they are deliberately avoided.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.spatial import cKDTree
 
 __all__ = [
     "SpatialIndex",
-    "NeighborList",
     "build_index",
-    "knn",
     "knn_batch",
     "farthest_point_sampling",
     "random_sampling",
@@ -43,14 +39,6 @@ _BLOCK = 1024
 # Relative margin between a kd-tree distance and the exact contract-form
 # distance of the same pair; both are a few roundings off the true value.
 _TREE_MARGIN = 1e-9
-
-
-@dataclass(frozen=True)
-class NeighborList:
-    """knn result: indices with matching nondecreasing distances."""
-
-    indices: np.ndarray
-    distances: np.ndarray
 
 
 class SpatialIndex:
@@ -204,15 +192,6 @@ def knn_batch(index: SpatialIndex, queries: np.ndarray, k: int,
             todo = todo[~safe]
             width = min(2 * width, m)
     return index.order[ranks], np.sqrt(d2)
-
-
-def knn(index: SpatialIndex, query, k: int, exclude: int | None = None) -> NeighborList:
-    """Nearest neighbors of one query point under the tie-break contract."""
-    query = np.asarray(query, dtype=np.float64).reshape(1, 3)
-    excl = None if exclude is None else np.asarray([exclude])
-    idx, dist = knn_batch(index, query, k, exclude=excl)
-    valid = np.isfinite(dist[0])
-    return NeighborList(idx[0][valid].copy(), dist[0][valid].copy())
 
 
 def farthest_point_sampling(positions, count: int) -> np.ndarray:

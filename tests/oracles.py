@@ -5,9 +5,17 @@ scans, pseudo-inverse solves, the stacked Kronecker regression, and
 plain-Python rank statistics. Tests compare the package against these.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from tcdm.pointcloud import Point
+
+@dataclass(frozen=True)
+class Point:
+    """A single point: 3D position plus a 3-channel color in [0, 255]."""
+
+    position: np.ndarray
+    color: np.ndarray
 
 
 def knn_oracle(positions, query, k, exclude=None):

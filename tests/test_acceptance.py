@@ -19,7 +19,7 @@ from tcdm.evaluation import f_test, fit_logistic5, logistic5, plcc, rmse, run_be
 from tcdm.features import complexity_similarity, prediction_similarity
 from tcdm.metric import prepare_reference, score, score_with_reference
 from tcdm.pointcloud import DegradationSpec, PointCloud, degrade
-from tcdm.savar import fit_savar, sigmoid_distance_values, spatial_weights
+from tcdm.savar import _weights_from_distances, fit_savar, sigmoid_distance_values
 from tcdm.segmentation import nearest_seed_labels, select_seeds, split_patches
 from tcdm.synthetic import noisy_torus_cloud, plane_cloud, sphere_cloud
 
@@ -126,9 +126,10 @@ def test_criterion_04_weight_contract():
     for _ in range(50):
         nb = rng.uniform(-10, 10, size=(20, 3))
         q = rng.uniform(-10, 10, size=3)
-        w = spatial_weights(q, nb)
+        d = np.sqrt(((nb - q) ** 2).sum(axis=1))[None, :]
+        w = _weights_from_distances(d, "sigmoid_proposed", "std")
         assert abs(w.sum() - 1.0) < 1e-12
-    w_flat = spatial_weights(np.zeros(3), np.tile([[1.0, 0, 0]], (20, 1)))
+    w_flat = _weights_from_distances(np.ones((1, 20)), "sigmoid_proposed", "std")
     assert np.allclose(w_flat, 1.0 / 20, atol=1e-15)
     _report(4, "raw values in [0.5, 1), normalized sums within 1e-12, uniform at zero spread")
 

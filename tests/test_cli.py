@@ -136,12 +136,6 @@ class TestBatchCommand:
               "--k", "8", "--threads", "1"])
         assert "cache_hits=0" in capsys.readouterr().out
 
-    def test_eval_alias(self, ply_pair, capsys):
-        manifest = self._write_manifest(ply_pair)
-        out = ply_pair / "report_eval.csv"
-        assert main(["eval", str(manifest), "--out", str(out)] + CONFIG_FLAGS) == 0
-        assert out.exists()
-
 
 class TestConfigFlags:
     @pytest.mark.parametrize("argv", [["score", "a", "b"], ["batch", "m.csv"]])

@@ -4,13 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tcdm.config import MetricConfig, color_weights_for
-from tcdm.features import (_g_rows, complexity_similarity, difference_fields, patch_features,
+from tcdm.features import (_field_neighbor_ids, _g_rows, complexity_similarity, patch_features,
                            prediction_similarity)
 from tcdm.metric import encode_reference_patch
-from tcdm.pointcloud import Point
 from tcdm.segmentation import Patch
+from tcdm.spatial import build_index
 
-from oracles import g_difference
+from oracles import Point, g_difference
 
 
 RGB_W = np.array([0.25, 0.5, 0.25])
@@ -112,43 +112,50 @@ class TestGDifference:
 
 
 class TestDifferenceFields:
+    """Both fields of a patch on the rows ``_field_neighbor_ids`` picks from
+    the first reconstruction, ranked by the lexicographic order of the
+    reference positions, as the pipeline builds them."""
+
     def test_identical_predictions_equal_fields(self, rng):
-        x_hat = np.column_stack([rng.uniform(-3, 3, size=(30, 3)),
-                                 rng.uniform(0, 255, size=(30, 3))])
-        fx, fy = difference_fields(x_hat, x_hat.copy(), k=5, color_weights=RGB_W)
-        assert np.array_equal(fx, fy)
+        positions = rng.uniform(-3, 3, size=(30, 3))
+        x_hat = np.column_stack([positions, rng.uniform(0, 255, size=(30, 3))])
+        ids = _field_neighbor_ids(x_hat, 5, build_index(positions).order)
+        y_hat = x_hat.copy()
+        assert np.array_equal(_g_rows(x_hat, x_hat[ids], RGB_W),
+                              _g_rows(y_hat, y_hat[ids], RGB_W))
 
     def test_collinear_constant_color(self):
         x_hat = np.array([[0.0, 0, 0, 9, 9, 9],
                           [1.0, 0, 0, 9, 9, 9],
                           [3.0, 0, 0, 9, 9, 9]])
-        fx, fy = difference_fields(x_hat, x_hat.copy(), k=2, color_weights=RGB_W)
+        ids = _field_neighbor_ids(x_hat, 2, build_index(x_hat[:, :3]).order)
+        fx = _g_rows(x_hat, x_hat[ids], RGB_W)
         # neighbor lists: point0 -> (1, 3), point1 -> (0, 3), point2 -> (1, 0)
         want = np.array([[1.0, 3.0], [1.0, 2.0], [2.0, 3.0]])
         assert np.allclose(fx, want, atol=1e-12)
 
     def test_ids_come_from_first_field_only(self, rng):
-        x_hat = np.column_stack([rng.uniform(-3, 3, size=(20, 3)),
-                                 rng.uniform(0, 255, size=(20, 3))])
+        positions = rng.uniform(-3, 3, size=(20, 3))
+        x_hat = np.column_stack([positions, rng.uniform(0, 255, size=(20, 3))])
         y_hat = np.column_stack([rng.uniform(-3, 3, size=(20, 3)),
                                  rng.uniform(0, 255, size=(20, 3))])
-        fx1, fy1 = difference_fields(x_hat, y_hat, k=4, color_weights=RGB_W)
+        order = build_index(positions).order
+        ids1 = _field_neighbor_ids(x_hat, 4, order)
+        fx1, fy1 = _g_rows(x_hat, x_hat[ids1], RGB_W), _g_rows(y_hat, y_hat[ids1], RGB_W)
         perm = rng.permutation(20)
-        fx2, fy2 = difference_fields(x_hat, y_hat[perm], k=4, color_weights=RGB_W)
+        ids2 = _field_neighbor_ids(x_hat, 4, order)
+        y_perm = y_hat[perm]
+        fx2, fy2 = _g_rows(x_hat, x_hat[ids2], RGB_W), _g_rows(y_perm, y_perm[ids2], RGB_W)
         assert np.array_equal(fx1, fx2)
         assert not np.array_equal(fy1, fy2)
 
     def test_short_patch_padding(self, rng):
-        x_hat = np.column_stack([rng.uniform(-3, 3, size=(3, 3)),
-                                 rng.uniform(0, 255, size=(3, 3))])
-        fx, _ = difference_fields(x_hat, x_hat.copy(), k=6, color_weights=RGB_W)
+        positions = rng.uniform(-3, 3, size=(3, 3))
+        x_hat = np.column_stack([positions, rng.uniform(0, 255, size=(3, 3))])
+        ids = _field_neighbor_ids(x_hat, 6, build_index(positions).order)
+        fx = _g_rows(x_hat, x_hat[ids], RGB_W)
         assert fx.shape == (3, 6)
         assert np.array_equal(fx[:, 2:], np.repeat(fx[:, 1:2], 4, axis=1))
-
-    def test_too_small_rejected(self):
-        one = np.zeros((1, 6))
-        with pytest.raises(ValueError):
-            difference_fields(one, one, k=3, color_weights=RGB_W)
 
 
 class TestPredictionSimilarity:

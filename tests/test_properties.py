@@ -1,4 +1,6 @@
-"""Score properties on small random clouds, at one and two threads.
+"""Score properties on small random clouds, at one and two threads: a self
+score of 1.0, bit-equal scores across thread counts, and invariance under
+point permutation.
 
 The clouds mix distinct positions with exact duplicates that carry the same
 color, so seed sampling and every neighbor plan meet zero distances and
@@ -11,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tcdm.metric
-from tcdm.config import MetricConfig
+from tcdm.config import (COLOR_SPACES, COLOR_WEIGHT_MODES, ETA_MODES, SAMPLING_STRATEGIES,
+                         WEIGHT_SCHEMES, MetricConfig)
 from tcdm.metric import score
 from tcdm.pointcloud import PointCloud
 
@@ -36,24 +39,47 @@ def clouds(draw):
                       np.concatenate([colors, colors[dup]]))
 
 
-configs = st.builds(MetricConfig, seeds=st.integers(1, 4), neighbors=st.integers(2, 6))
+def configs(sampling=st.just("fps")):
+    """Small configurations over every weight scheme, color space, eta mode
+    and color weight mode. Random sampling picks seeds by row index, so it
+    is drawn only where the point order stays fixed."""
+    return st.builds(MetricConfig, seeds=st.integers(1, 4), neighbors=st.integers(2, 6),
+                     sampling=sampling, sampling_seed=st.integers(0, 2**16),
+                     weight_scheme=st.sampled_from(WEIGHT_SCHEMES),
+                     color_space=st.sampled_from(COLOR_SPACES),
+                     eta_mode=st.sampled_from(ETA_MODES),
+                     color_weight_mode=st.sampled_from(COLOR_WEIGHT_MODES))
 
 
-@given(cloud=clouds(), config=configs, threads=st.sampled_from([1, 2]))
+any_sampling = st.sampled_from(SAMPLING_STRATEGIES)
+
+
+def jittered(cloud, seed):
+    rng = np.random.default_rng(seed)
+    return PointCloud(cloud.positions + rng.normal(0.0, 1.0, size=cloud.positions.shape),
+                      cloud.colors)
+
+
+@given(cloud=clouds(), config=configs(any_sampling), threads=st.sampled_from([1, 2]))
 @settings(max_examples=25, deadline=None)
 def test_self_comparison_scores_one(cloud, config, threads):
     assert score(cloud, cloud, config, threads=threads).q == 1.0
 
 
-@given(cloud=clouds(), config=configs, threads=st.sampled_from([1, 2]),
+@given(cloud=clouds(), config=configs(any_sampling), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_thread_count_leaves_score(cloud, config, seed):
+    noisy = jittered(cloud, seed)
+    assert score(cloud, noisy, config, threads=1).q == score(cloud, noisy, config, threads=2).q
+
+
+@given(cloud=clouds(), config=configs(), threads=st.sampled_from([1, 2]),
        seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_point_permutation_leaves_score(cloud, config, threads, seed):
-    rng = np.random.default_rng(seed)
-    noisy = PointCloud(cloud.positions + rng.normal(0.0, 1.0, size=cloud.positions.shape),
-                       cloud.colors)
+    noisy = jittered(cloud, seed)
     q = score(cloud, noisy, config, threads=threads).q
-    assert score(cloud, noisy, config, threads=3 - threads).q == q
+    rng = np.random.default_rng(seed)
     pr, pd = rng.permutation(cloud.count), rng.permutation(noisy.count)
     q_perm = score(PointCloud(cloud.positions[pr], cloud.colors[pr]),
                    PointCloud(noisy.positions[pd], noisy.colors[pd]), config,

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tcdm.segmentation import Patch
-from tcdm.savar import (assemble_design, build_neighbor_plan, cross_complexity,
-                        fit_savar, self_complexity, sigmoid_distance_values,
-                        spatial_weights)
+from tcdm.savar import (_design_from_plan, _weights_from_distances, build_neighbor_plan,
+                        cross_complexity, fit_savar, self_complexity,
+                        sigmoid_distance_values)
+from tcdm.spatial import build_index
 
 from oracles import det3_oracle, kron_solve, pinv_predictions
 
@@ -20,25 +21,26 @@ def random_patch(rng, n, scale=1.0):
 
 
 class TestSpatialWeights:
+    """Rows of neighbor distances through the weight function that every
+    neighbor plan uses."""
+
     def test_coincident_neighbors_uniform(self):
-        w = spatial_weights([0.0, 0, 0], np.zeros((4, 3)))
+        w = _weights_from_distances(np.zeros((1, 4)), "sigmoid_proposed", "std")
         assert np.allclose(w, 0.25, atol=1e-15)
 
     def test_two_equal_distances(self):
-        w = spatial_weights([0.0, 0, 0], [[1.0, 0, 0], [0.0, 1, 0]])
-        assert np.allclose(w, [0.5, 0.5], atol=1e-15)
+        w = _weights_from_distances(np.ones((1, 2)), "sigmoid_proposed", "std")
+        assert np.allclose(w, 0.5, atol=1e-15)
 
     def test_hand_computed_three_distances(self):
-        # neighbors at distances 1, 2, 3 along separate axes
-        nb = np.array([[1.0, 0, 0], [0.0, 2, 0], [0.0, 0, 3]])
-        w = spatial_weights([0.0, 0, 0], nb)
         dists = [1.0, 2.0, 3.0]
+        w = _weights_from_distances(np.array([dists]), "sigmoid_proposed", "std")
         mean = sum(dists) / 3
         eta = math.sqrt(sum((d - mean) ** 2 for d in dists) / 3)
         raw = [1.0 / (1.0 + math.exp(-d / eta)) for d in dists]
         total = sum(raw)
         expected = [r / total for r in raw]
-        assert np.abs(w - expected).max() < 1e-12
+        assert np.abs(w[0] - expected).max() < 1e-12
 
     def test_raw_values_in_half_open_unit_band(self, rng):
         d = rng.uniform(0.0, 50.0, size=(100, 20))
@@ -49,31 +51,26 @@ class TestSpatialWeights:
     @given(seed=st.integers(0, 9999), k=st.integers(1, 16))
     @settings(max_examples=40, deadline=None)
     def test_sum_to_one_and_nonnegative(self, seed, k):
-        rng = np.random.default_rng(seed)
-        nb = rng.uniform(-5, 5, size=(k, 3))
-        q = rng.uniform(-5, 5, size=3)
+        d = np.random.default_rng(seed).uniform(0.0, 15.0, size=(1, k))
         for scheme in ("sigmoid_proposed", "constant_one", "inverse_distance", "exp_decay"):
-            w = spatial_weights(q, nb, scheme=scheme)
+            w = _weights_from_distances(d, scheme, "std")
             assert abs(w.sum() - 1.0) < 1e-12
             assert (w >= 0).all()
 
     def test_scale_invariance(self, rng):
-        nb = rng.uniform(-5, 5, size=(8, 3))
-        q = rng.uniform(-5, 5, size=3)
-        w1 = spatial_weights(q, nb)
-        w2 = spatial_weights(q * 7.5, nb * 7.5)
+        d = rng.uniform(0.0, 15.0, size=(1, 8))
+        w1 = _weights_from_distances(d, "sigmoid_proposed", "std")
+        w2 = _weights_from_distances(d * 7.5, "sigmoid_proposed", "std")
         assert np.abs(w1 - w2).max() < 1e-12
 
     def test_inverse_distance_zero_neighbor(self):
-        w = spatial_weights([0.0, 0, 0], [[0.0, 0, 0], [1.0, 0, 0]],
-                            scheme="inverse_distance")
-        assert np.allclose(w, [1.0, 0.0])
+        w = _weights_from_distances(np.array([[0.0, 1.0]]), "inverse_distance", "std")
+        assert np.allclose(w, [[1.0, 0.0]])
 
     def test_eta_variance_mode_differs(self, rng):
-        nb = rng.uniform(-5, 5, size=(6, 3))
-        q = np.zeros(3)
-        w_std = spatial_weights(q, nb, eta_mode="std")
-        w_var = spatial_weights(q, nb, eta_mode="variance")
+        d = rng.uniform(0.0, 8.0, size=(1, 6))
+        w_std = _weights_from_distances(d, "sigmoid_proposed", "std")
+        w_var = _weights_from_distances(d, "sigmoid_proposed", "variance")
         assert not np.allclose(w_std, w_var)
 
 
@@ -81,11 +78,10 @@ class TestAssembleDesign:
     def test_two_point_self_prediction(self):
         patch = Patch(np.arange(2), np.array([[0.0, 0, 0], [1.0, 0, 0]]),
                       np.array([[10.0, 20, 30], [40.0, 50, 60]]))
-        targets, design = assemble_design(patch, patch, k=1, channel="color",
-                                          exclude="self")
+        plan = build_neighbor_plan(patch, patch, k=1, exclude="self",
+                                   scheme="sigmoid_proposed", eta_mode="std")
         # sole neighbor carries weight 1: the other point's color verbatim
-        assert np.array_equal(targets, patch.colors)
-        assert np.array_equal(design, patch.colors[::-1])
+        assert np.array_equal(_design_from_plan(plan, patch.colors), patch.colors[::-1])
 
     def test_padding_repeats_farthest(self, rng):
         patch = random_patch(rng, 5)
@@ -108,12 +104,10 @@ class TestAssembleDesign:
 
     def test_design_shape_and_weighting(self, rng):
         patch = random_patch(rng, 30)
-        targets, design = assemble_design(patch, patch, k=4, channel="geometry",
-                                          exclude="self")
-        assert targets.shape == (30, 3)
-        assert design.shape == (30, 12)
         plan = build_neighbor_plan(patch, patch, k=4, exclude="self",
                                    scheme="sigmoid_proposed", eta_mode="std")
+        design = _design_from_plan(plan, patch.positions)
+        assert design.shape == (30, 12)
         row0 = np.concatenate([plan.weights[0, j] * patch.positions[plan.indices[0, j]]
                                for j in range(4)])
         assert np.allclose(design[0], row0, atol=1e-15)
@@ -122,7 +116,8 @@ class TestAssembleDesign:
         patch = random_patch(rng, 3)
         empty = Patch(np.arange(0), np.zeros((0, 3)), np.zeros((0, 3)))
         with pytest.raises(ValueError):
-            assemble_design(patch, empty, k=2, channel="geometry")
+            build_neighbor_plan(patch, empty, k=2, exclude="nearest",
+                                scheme="sigmoid_proposed", eta_mode="std")
 
 
 class TestFitSavar:
@@ -198,7 +193,7 @@ class TestComplexities:
     def test_constant_color_zero_color_complexity(self, rng):
         patch = Patch(np.arange(50), rng.uniform(-1, 1, size=(50, 3)),
                       np.full((50, 3), 77.0))
-        enc = self_complexity(patch, k=6)
+        enc = self_complexity(patch, k=6, patch_index=build_index(patch.positions))
         assert enc.complexity_color <= 1e-12
 
     def test_plane_with_color_ramp(self, rng):
@@ -208,7 +203,8 @@ class TestComplexities:
         e2 = np.array([-0.1, 1.0, 0.4])
         positions = np.array([0.5, -0.2, 0.7]) + uv[:, :1] * e1 + uv[:, 1:] * e2
         colors = np.clip(100 + 30 * uv[:, :1] + 20 * uv[:, 1:] + np.zeros((n, 3)), 0, 255)
-        enc = self_complexity(Patch(np.arange(n), positions, colors), k=8)
+        enc = self_complexity(Patch(np.arange(n), positions, colors), k=8,
+                              patch_index=build_index(positions))
         assert enc.complexity_geometry <= 1e-12
         assert enc.complexity_color <= 1e-12
 
@@ -217,7 +213,7 @@ class TestComplexities:
     def test_complexity_nonnegative(self, seed):
         rng = np.random.default_rng(seed)
         patch = random_patch(rng, int(rng.integers(2, 40)))
-        enc = self_complexity(patch, k=5)
+        enc = self_complexity(patch, k=5, patch_index=build_index(patch.positions))
         assert enc.complexity_geometry >= 0.0
         assert enc.complexity_color >= 0.0
 
@@ -226,14 +222,16 @@ class TestComplexities:
         # case, so identical patches give identical prediction problems
         for _ in range(20):
             patch = random_patch(rng, int(rng.integers(10, 80)))
-            s = self_complexity(patch, k=10)
-            c = cross_complexity(patch, patch, k=10)
+            index = build_index(patch.positions)
+            s = self_complexity(patch, k=10, patch_index=index)
+            c = cross_complexity(patch, patch, k=10, ref_index=index)
             assert c.complexity_geometry == s.complexity_geometry
             assert c.complexity_color == s.complexity_color
             assert np.array_equal(c.predictions, s.predictions)
 
     def test_cross_monotone_in_noise(self, rng):
         patch = random_patch(rng, 150, scale=5.0)
+        index = build_index(patch.positions)
         diameter = np.linalg.norm(patch.positions.max(0) - patch.positions.min(0))
         means = []
         for frac in (0.01, 0.05, 0.1):
@@ -244,7 +242,8 @@ class TestComplexities:
                               patch.positions + noise_rng.normal(0, frac * diameter,
                                                                  size=patch.positions.shape),
                               patch.colors)
-                vals.append(cross_complexity(patch, noisy, k=10).complexity_geometry)
+                enc = cross_complexity(patch, noisy, k=10, ref_index=index)
+                vals.append(enc.complexity_geometry)
             means.append(np.mean(vals))
         assert means[0] <= means[1] <= means[2]
 
@@ -252,7 +251,7 @@ class TestComplexities:
         ref = random_patch(rng, 20)
         lone = Patch(np.arange(1), rng.uniform(-1, 1, size=(1, 3)),
                      rng.uniform(0, 255, size=(1, 3)))
-        enc = cross_complexity(ref, lone, k=20)
+        enc = cross_complexity(ref, lone, k=20, ref_index=build_index(ref.positions))
         assert np.isfinite(enc.predictions).all()
 
     def test_geometry_complexity_scales_sixth_power(self, rng):
@@ -260,30 +259,33 @@ class TestComplexities:
         dist = Patch(ref.indices,
                      ref.positions + rng.normal(0, 0.1, size=ref.positions.shape),
                      ref.colors)
-        base = cross_complexity(ref, dist, k=8).complexity_geometry
+        base = cross_complexity(ref, dist, k=8,
+                                ref_index=build_index(ref.positions)).complexity_geometry
         for s in (2.0, 10.0):
             scaled_ref = Patch(ref.indices, ref.positions * s, ref.colors)
             scaled_dist = Patch(dist.indices, dist.positions * s, dist.colors)
-            got = cross_complexity(scaled_ref, scaled_dist, k=8).complexity_geometry
+            got = cross_complexity(scaled_ref, scaled_dist, k=8,
+                                   ref_index=build_index(scaled_ref.positions))
+            got = got.complexity_geometry
             assert abs(got - base * s ** 6) <= 1e-6 * abs(base * s ** 6)
 
     def test_degenerate_patches_rejected(self, rng):
         lone = random_patch(rng, 1)
         with pytest.raises(ValueError):
-            self_complexity(lone, k=3)
+            self_complexity(lone, k=3, patch_index=build_index(lone.positions))
         empty = Patch(np.arange(0), np.zeros((0, 3)), np.zeros((0, 3)))
         ref = random_patch(rng, 10)
         with pytest.raises(ValueError):
-            cross_complexity(ref, empty, k=3)
+            cross_complexity(ref, empty, k=3, ref_index=build_index(ref.positions))
 
     def test_row_order_canonicalization(self, rng):
         # permuting patch members changes nothing but the row order of the
         # returned predictions
         patch = random_patch(rng, 60)
-        enc = self_complexity(patch, k=8)
+        enc = self_complexity(patch, k=8, patch_index=build_index(patch.positions))
         perm = rng.permutation(60)
         shuffled = Patch(patch.indices[perm], patch.positions[perm], patch.colors[perm])
-        enc_p = self_complexity(shuffled, k=8)
+        enc_p = self_complexity(shuffled, k=8, patch_index=build_index(shuffled.positions))
         assert enc_p.complexity_geometry == enc.complexity_geometry
         assert enc_p.complexity_color == enc.complexity_color
         assert np.array_equal(enc_p.predictions, enc.predictions[perm])

@@ -168,8 +168,8 @@ class TestBuildPatchPairs:
         seeds = select_seeds(ref, 10)
         pairs = patch_pairs(ref, dist, seeds)
 
-        ref_t = ref.translated(shift)
-        dist_t = dist.translated(shift)
+        ref_t = PointCloud(ref.positions + shift, ref.colors)
+        dist_t = PointCloud(dist.positions + shift, dist.colors)
         seeds_t = select_seeds(ref_t, 10)
         pairs_t = patch_pairs(ref_t, dist_t, seeds_t)
         for (ra, da), (rb, db) in zip(pairs, pairs_t):

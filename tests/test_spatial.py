@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from tcdm import spatial
-from tcdm.spatial import (build_index, farthest_point_sampling, knn, knn_batch,
-                          random_sampling)
+from tcdm.spatial import build_index, farthest_point_sampling, knn_batch, random_sampling
 
 from oracles import fps_oracle, knn_oracle
 
@@ -17,11 +16,13 @@ def coords(draw_count, seed, extent=10.0):
 
 
 class TestKnn:
+    """Single queries through the batch engine, read off row 0."""
+
     def test_single_point_self_query(self):
         index = build_index([[1.0, 2.0, 3.0]])
-        result = knn(index, [1.0, 2.0, 3.0], k=1)
-        assert list(result.indices) == [0]
-        assert result.distances[0] == 0.0
+        idx, dist = knn_batch(index, [[1.0, 2.0, 3.0]], k=1)
+        assert list(idx[0]) == [0]
+        assert dist[0, 0] == 0.0
 
     def test_matches_oracle_random(self):
         pts = coords(1000, seed=5)
@@ -29,10 +30,10 @@ class TestKnn:
         rng = np.random.default_rng(6)
         queries = rng.uniform(-10, 10, size=(50, 3))
         for q in queries:
-            got = knn(index, q, k=5)
+            idx, dist = knn_batch(index, [q], k=5)
             want_idx, want_dist = knn_oracle(pts, q, k=5)
-            assert np.array_equal(got.indices, want_idx)
-            assert np.array_equal(got.distances, want_dist)
+            assert np.array_equal(idx[0], want_idx)
+            assert np.array_equal(dist[0], want_dist)
 
     def test_matches_oracle_on_grid_with_ties(self):
         # integer grid: massive exact ties exercise the composite ordering
@@ -41,44 +42,44 @@ class TestKnn:
         index = build_index(pts)
         for q in [(1.5, 1.5, 1.5), (0.0, 0.0, 0.0), (2.0, 1.0, 3.0), (1.0, 1.0, 1.0)]:
             for k in (1, 4, 9, 30):
-                got = knn(index, q, k=k)
+                idx, _ = knn_batch(index, [q], k=k)
                 want_idx, want_dist = knn_oracle(pts, q, k=k)
-                assert np.array_equal(got.indices, want_idx), (q, k)
+                assert np.array_equal(idx[0], want_idx), (q, k)
 
     def test_exclude_index_never_appears(self):
         pts = coords(100, seed=7)
         index = build_index(pts)
         for i in (0, 13, 99):
-            got = knn(index, pts[i], k=10, exclude=i)
-            assert i not in got.indices
+            idx, _ = knn_batch(index, pts[i:i + 1], k=10, exclude=[i])
+            assert i not in idx[0]
             want_idx, _ = knn_oracle(pts, pts[i], k=10, exclude=i)
-            assert np.array_equal(got.indices, want_idx)
+            assert np.array_equal(idx[0], want_idx)
 
     def test_collinear_hand_case(self):
         pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [3.0, 0, 0]])
         index = build_index(pts)
-        got = knn(index, [1.0, 0, 0], k=2, exclude=1)
-        assert list(got.indices) == [0, 2]
-        assert np.allclose(got.distances, [1.0, 2.0])
+        idx, dist = knn_batch(index, [[1.0, 0, 0]], k=2, exclude=[1])
+        assert list(idx[0]) == [0, 2]
+        assert np.allclose(dist[0], [1.0, 2.0])
 
     def test_lexicographic_tie_rule(self):
         pts = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         index = build_index(pts)
-        got = knn(index, [0.0, 0.0, 0.0], k=2)
-        assert list(got.indices) == [1, 0]  # (0,1,0) sorts before (1,0,0)
+        idx, _ = knn_batch(index, [[0.0, 0.0, 0.0]], k=2)
+        assert list(idx[0]) == [1, 0]  # (0,1,0) sorts before (1,0,0)
 
     def test_short_result_when_k_exceeds_points(self):
         pts = coords(3, seed=8)
         index = build_index(pts)
-        got = knn(index, [0.0, 0.0, 0.0], k=10)
-        assert len(got.indices) == 3
-        assert np.all(np.diff(got.distances) >= 0)
+        idx, dist = knn_batch(index, [[0.0, 0.0, 0.0]], k=10)
+        assert len(idx[0]) == 3
+        assert np.all(np.diff(dist[0]) >= 0)
 
     def test_duplicates_accepted(self):
         pts = np.array([[1.0, 1, 1], [1.0, 1, 1], [2.0, 2, 2]])
         index = build_index(pts)
-        got = knn(index, [1.0, 1, 1], k=3)
-        assert list(got.indices) == [0, 1, 2]  # duplicate tie falls to lower index
+        idx, _ = knn_batch(index, [[1.0, 1, 1]], k=3)
+        assert list(idx[0]) == [0, 1, 2]  # duplicate tie falls to lower index
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -91,10 +92,10 @@ class TestKnn:
         pts = rng.uniform(-5, 5, size=(rng.integers(2, 60), 3))
         q = rng.uniform(-5, 5, size=3)
         index = build_index(pts)
-        got = knn(index, q, k=k)
+        idx, dist = knn_batch(index, [q], k=k)
         want_idx, want_dist = knn_oracle(pts, q, k=k)
-        assert np.array_equal(got.indices, want_idx)
-        assert np.array_equal(got.distances, want_dist)
+        assert np.array_equal(idx[0], want_idx)
+        assert np.array_equal(dist[0], want_dist)
 
     def test_batch_agrees_with_single(self):
         pts = coords(300, seed=9)
@@ -102,9 +103,9 @@ class TestKnn:
         queries = coords(40, seed=10)
         idx, dist = knn_batch(index, queries, k=7)
         for row, q in enumerate(queries):
-            got = knn(index, q, k=7)
-            assert np.array_equal(idx[row], got.indices)
-            assert np.array_equal(dist[row], got.distances)
+            one_idx, one_dist = knn_batch(index, [q], k=7)
+            assert np.array_equal(idx[row], one_idx[0])
+            assert np.array_equal(dist[row], one_dist[0])
 
 
 class TestTieFallback:
@@ -297,10 +298,10 @@ class TestPermutationInvariance:
         a = build_index(pts)
         b = build_index(pts[perm])
         q = np.array([0.3, -0.4, 0.9])
-        ra = knn(a, q, k=8)
-        rb = knn(b, q, k=8)
-        assert np.array_equal(pts[ra.indices], pts[perm][rb.indices])
-        assert np.array_equal(ra.distances, rb.distances)
+        ia, da = knn_batch(a, [q], k=8)
+        ib, db = knn_batch(b, [q], k=8)
+        assert np.array_equal(pts[ia[0]], pts[perm][ib[0]])
+        assert np.array_equal(da, db)
 
 
 class TestFps:
