@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import least_squares
 from scipy.stats import f as f_distribution
+from scipy.stats import rankdata
 
 from .config import MetricConfig
 from .metric import prepare_reference, resolve_threads, score_with_reference
@@ -128,25 +129,11 @@ def plcc(a, b) -> float:
     return float((da * db).sum() / math.sqrt(va * vb))
 
 
-def _fractional_ranks(x: np.ndarray) -> np.ndarray:
-    """Average (fractional) ranks, 1-based, ties sharing their mean rank."""
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.size, dtype=np.float64)
-    sx = x[order]
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
-
-
 def srocc(a, b) -> float:
-    """Spearman rank correlation: Pearson over fractional ranks."""
+    """Spearman rank correlation: Pearson over average (fractional) ranks,
+    ties sharing their mean rank."""
     a, b = _check_pair(a, b)
-    return plcc(_fractional_ranks(a), _fractional_ranks(b))
+    return plcc(rankdata(a), rankdata(b))
 
 
 def rmse(a, b) -> float:
@@ -195,8 +182,14 @@ def _read_manifest(manifest_path):
                 f"manifest must have header reference,distorted,distortion_type,mos; "
                 f"got {reader.fieldnames}")
         for row in reader:
-            rows.append((row["reference"], row["distorted"],
-                         row["distortion_type"], float(row["mos"])))
+            try:
+                mos = float(row["mos"])
+            except (TypeError, ValueError):
+                mos = math.nan
+            if not math.isfinite(mos):
+                raise ValueError(f"{manifest_path}: line {reader.line_num}: mos must be "
+                                 f"a finite number, got {row['mos']!r}")
+            rows.append((row["reference"], row["distorted"], row["distortion_type"], mos))
     if not rows:
         raise ValueError(f"manifest {manifest_path} has no data rows")
     return rows

@@ -79,7 +79,8 @@ def _g_rows(anchor: np.ndarray, neighbors: np.ndarray, color_weights: np.ndarray
 
 
 def _field_neighbor_ids(x_hat: np.ndarray, k: int, order: np.ndarray) -> np.ndarray:
-    """Each row's k nearest other rows by predicted position, padded.
+    """Each row's k nearest other rows by predicted position (a patch of
+    at most k points repeats the farthest).
 
     Distinct points can get the very same prediction (say, from the same
     equidistant neighbors), and a distance tie between them falls to row
@@ -92,10 +93,6 @@ def _field_neighbor_ids(x_hat: np.ndarray, k: int, order: np.ndarray) -> np.ndar
     ranked, _ = knn_batch(build_index(pos), pos, k, exclude=np.arange(n))
     idx = np.empty_like(ranked)
     idx[order] = order[ranked]
-    k_eff = min(k, n - 1)
-    idx = idx[:, :k_eff]
-    if k_eff < k:
-        idx = np.concatenate([idx, np.repeat(idx[:, -1:], k - k_eff, axis=1)], axis=1)
     return idx
 
 

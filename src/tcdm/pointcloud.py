@@ -234,16 +234,20 @@ def _vertex_layout_size(props):
 
 
 def _parse_ascii_rows(path, lines, props, dtype):
-    """Parse ASCII vertex lines, vectorized with a diagnostic fallback."""
+    """Parse ASCII vertex lines, vectorized with a diagnostic fallback.
+
+    An integer property (every color channel) must hold an integer in its
+    type's range; casting anything else would wrap or truncate silently.
+    """
     count = len(lines)
     width = len(props)
-    rows = np.empty(count, dtype=dtype)
     try:
         flat = np.array([line.split()[:width] for line in lines], dtype=np.float64)
-        if flat.ndim != 2 or flat.shape != (count, width):
+        if flat.shape != (count, width):
             raise ValueError
     except ValueError:
         # something is short or non-numeric: redo slowly to name the vertex
+        flat = np.empty((count, width))
         for i, raw in enumerate(lines):
             if not raw.strip():
                 raise PlyError(f"{path}: truncated payload at vertex {i} of {count}") from None
@@ -251,14 +255,23 @@ def _parse_ascii_rows(path, lines, props, dtype):
             if len(tokens) < width:
                 raise PlyError(
                     f"{path}: vertex {i} has {len(tokens)} values, expected {width}") from None
-            for (name, _), tok in zip(props, tokens):
+            for j, tok in enumerate(tokens[:width]):
                 try:
-                    rows[name][i] = float(tok)
+                    flat[i, j] = float(tok)
                 except ValueError:
                     raise PlyError(f"{path}: bad numeric value {tok!r} at vertex {i}") from None
-        return rows
+    rows = np.empty(count, dtype=dtype)
     for j, (name, _) in enumerate(props):
-        rows[name] = flat[:, j]
+        col = flat[:, j]
+        if dtype[name].kind in "iu":
+            info = np.iinfo(dtype[name])
+            # NaN fails every comparison, so it lands here too
+            ok = (col >= info.min) & (col <= info.max) & (col == np.floor(col))
+            if not ok.all():
+                i = int(np.flatnonzero(~ok)[0])
+                raise PlyError(f"{path}: {name} at vertex {i} must be an integer in "
+                               f"[{info.min}, {info.max}], got {col[i]:g}")
+        rows[name] = col
     return rows
 
 

@@ -52,7 +52,6 @@ class NeighborPlan:
 class SAVarFit:
     """Closed-form fit of one channel of one patch."""
 
-    theta: np.ndarray        # (d, K*d)
     predictions: np.ndarray  # (n, d)
     residuals: np.ndarray    # (n, d), exactly targets - predictions
     sigma: np.ndarray        # (d, d) residual covariance
@@ -117,45 +116,29 @@ def _weights_from_distances(dist: np.ndarray, scheme: str, eta_mode: str) -> np.
     return d / d.sum(axis=1, keepdims=True)
 
 
-def build_neighbor_plan(targets: Patch, source: Patch, k: int, exclude: str | None,
+def build_neighbor_plan(targets: Patch, source: Patch, k: int, exclude: str,
                         scheme: str, eta_mode: str,
                         source_index: SpatialIndex | None = None) -> NeighborPlan:
     """Neighbor indices, distances and weights for every target point.
 
     ``exclude`` is "self" for self-prediction (each target's own row never
-    appears), "nearest" for cross-prediction (the single closest source
+    appears) or "nearest" for cross-prediction (the single closest source
     point is dropped, mirroring the self case where the closest point is
-    the target itself), or None. A one-point source cannot lose its only
-    candidate, so "nearest" keeps it. Short neighbor lists are padded by
-    repeating the farthest neighbor found, keeping the plan width fixed.
+    the target itself). Lists are k wide: ``knn_batch`` repeats the
+    farthest neighbor of a short list, so a one-point source gives k
+    copies of its point.
     """
     if source.count < 1:
         raise ValueError("neighbor source patch is empty")
-    if exclude not in (None, "self", "nearest"):
-        raise ValueError(f"unknown exclusion mode {exclude!r}")
     index = source_index if source_index is not None else build_index(source.positions)
-    m = source.count
     if exclude == "self":
-        if m < 2:
-            raise ValueError("no usable neighbors after self-exclusion")
         idx, dist = knn_batch(index, targets.positions, k,
                               exclude=np.arange(targets.count))
-        avail = m - 1
-    elif exclude == "nearest" and m >= 2:
+    elif exclude == "nearest":
         idx, dist = knn_batch(index, targets.positions, k + 1)
-        idx = idx[:, 1:]
-        dist = dist[:, 1:]
-        avail = m - 1
+        idx, dist = idx[:, 1:], dist[:, 1:]
     else:
-        idx, dist = knn_batch(index, targets.positions, k)
-        avail = m
-    k_eff = min(k, avail)
-    idx = idx[:, :k_eff]
-    dist = dist[:, :k_eff]
-    if k_eff < k:
-        pad = k - k_eff
-        idx = np.concatenate([idx, np.repeat(idx[:, -1:], pad, axis=1)], axis=1)
-        dist = np.concatenate([dist, np.repeat(dist[:, -1:], pad, axis=1)], axis=1)
+        raise ValueError(f"unknown exclusion mode {exclude!r}")
     weights = _weights_from_distances(dist, scheme, eta_mode)
     return NeighborPlan(indices=idx, distances=dist, weights=weights)
 
@@ -208,7 +191,6 @@ def fit_savar(targets: np.ndarray, design: np.ndarray, ridge: float = 1e-8) -> S
     sigma = residuals.T @ residuals / n
     sigma = 0.5 * (sigma + sigma.T)
     return SAVarFit(
-        theta=theta_t.T,
         predictions=predictions,
         residuals=residuals,
         sigma=sigma,
@@ -216,7 +198,7 @@ def fit_savar(targets: np.ndarray, design: np.ndarray, ridge: float = 1e-8) -> S
     )
 
 
-def _encode(targets: Patch, source: Patch, k: int, exclude: str | None, scheme: str,
+def _encode(targets: Patch, source: Patch, k: int, exclude: str, scheme: str,
             eta_mode: str, ridge: float, target_index: SpatialIndex,
             source_index: SpatialIndex | None) -> PatchEncoding:
     plan = build_neighbor_plan(targets, source, k, exclude, scheme, eta_mode,

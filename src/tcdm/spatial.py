@@ -148,10 +148,10 @@ def knn_batch(index: SpatialIndex, queries: np.ndarray, k: int,
               exclude: np.ndarray | None = None):
     """Vectorized knn for many queries.
 
-    Returns (indices, distances) of shape (Q, min(k, N)) in original point
+    Returns (indices, distances) of shape (Q, k) in original point
     numbering. When ``exclude`` names a point per row, that point never
-    appears; rows where fewer than k candidates remain carry trailing
-    entries with infinite distance (callers own any padding policy).
+    appears (so excluding from a one-point index raises). Every row is k
+    wide: when fewer points are left, the farthest one repeats.
     """
     queries = np.ascontiguousarray(queries, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[1] != 3:
@@ -159,13 +159,14 @@ def knn_batch(index: SpatialIndex, queries: np.ndarray, k: int,
     if k < 1:
         raise ValueError("k must be >= 1")
     m = index.count
-    kk = min(k, m)
     excl = None
     if exclude is not None:
-        exclude = np.asarray(exclude)
+        if m < 2:
+            raise ValueError("no neighbors left after exclusion")
         rank = np.empty(m, dtype=np.intp)
         rank[index.order] = np.arange(m)
-        excl = np.where(exclude >= 0, rank[exclude], -1)
+        excl = rank[exclude]
+    kk = min(k, m - (excl is not None))
     # one candidate beyond the kk wanted (and the excluded one) is what the
     # safety test compares against
     w = min(kk + (excl is not None) + 1, m)
@@ -174,8 +175,9 @@ def knn_batch(index: SpatialIndex, queries: np.ndarray, k: int,
     pts = index.positions[index.order]
     tree = cKDTree(pts) if w < m else None
     n = queries.shape[0]
-    ranks = np.empty((n, kk), dtype=np.intp)
-    d2 = np.empty((n, kk))
+    # the kk found fill the leading columns; the rest repeat the last
+    ranks = np.empty((n, k), dtype=np.intp)
+    d2 = np.empty((n, k))
     for lo in range(0, n, _BLOCK):
         todo = np.arange(lo, min(lo + _BLOCK, n))
         width = w
@@ -185,12 +187,14 @@ def knn_batch(index: SpatialIndex, queries: np.ndarray, k: int,
         while todo.size:
             block_excl = None if excl is None else excl[todo]
             if width == m:
-                ranks[todo], d2[todo] = _exact_scan(pts, queries[todo], block_excl, kk)
+                ranks[todo, :kk], d2[todo, :kk] = _exact_scan(pts, queries[todo], block_excl, kk)
                 break
             r, d, safe = _tree_search(pts, tree, queries[todo], block_excl, kk, width)
-            ranks[todo[safe]], d2[todo[safe]] = r[safe], d[safe]
+            ranks[todo[safe], :kk], d2[todo[safe], :kk] = r[safe], d[safe]
             todo = todo[~safe]
             width = min(2 * width, m)
+    ranks[:, kk:] = ranks[:, kk - 1:kk]
+    d2[:, kk:] = d2[:, kk - 1:kk]
     return index.order[ranks], np.sqrt(d2)
 
 

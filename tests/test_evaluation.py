@@ -292,6 +292,16 @@ class TestRunBenchmark:
         assert len(one) == 2
         assert env == one
 
+    @pytest.mark.parametrize("mos", ["nan", "inf", "good", ""])
+    def test_bad_mos_rejected_before_scoring(self, tmp_path, monkeypatch, mos):
+        calls = []
+        monkeypatch.setattr(evaluation, "_sha256_file", lambda p: calls.append(p))
+        manifest = _build_manifest(tmp_path, [["r.ply", "d0.ply", "g", "3.5"],
+                                              ["r.ply", "d1.ply", "g", mos]])
+        with pytest.raises(ValueError, match=r"line 3: mos must be a finite number"):
+            run_benchmark(manifest, MetricConfig(seeds=8), tmp_path / "r.csv", threads=1)
+        assert calls == []
+
     def test_empty_manifest_rejected(self, tmp_path):
         manifest = _build_manifest(tmp_path, [])
         with pytest.raises(ValueError, match="no data rows"):

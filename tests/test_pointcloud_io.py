@@ -78,6 +78,20 @@ class TestLoadPly:
         with pytest.raises(PlyError, match="non-finite"):
             load_ply(path)
 
+    @pytest.mark.parametrize("color", ["300 1 12", "5 -1 12", "5 1 12.7", "nan 1 12",
+                                       "5 1 inf"])
+    def test_ascii_color_not_a_uchar(self, tmp_path, color):
+        body = SINGLE_POINT_PLY.replace("element vertex 1", "element vertex 2")
+        path = write_text(tmp_path / "color.ply", body + f"1 1 1 {color}\n")
+        with pytest.raises(PlyError, match=r"at vertex 1 must be an integer in \[0, 255\]"):
+            load_ply(path)
+
+    def test_ascii_color_range_ends_accepted(self, tmp_path):
+        body = SINGLE_POINT_PLY.replace("element vertex 1", "element vertex 2")
+        path = write_text(tmp_path / "color.ply", body + "1 1 1 0 255.0 +7\n")
+        cloud = load_ply(path)
+        assert np.array_equal(cloud.colors, [[255.0, 0.0, 0.0], [0.0, 255.0, 7.0]])
+
     def test_malformed_header(self, tmp_path):
         path = write_text(tmp_path / "bad.ply", "ply\nformat ascii 1.0\nbogus line\n")
         with pytest.raises(PlyError):

@@ -94,13 +94,25 @@ class TestAssembleDesign:
             assert np.array_equal(plan.distances[:, col], plan.distances[:, 3])
 
     def test_lone_cross_source_repeats(self, rng):
+        # "nearest" cannot drop the only point: every list is k copies of it
         ref = random_patch(rng, 6)
         dist = random_patch(rng, 1)
-        plan = build_neighbor_plan(ref, dist, k=20, exclude="nearest",
-                                   scheme="sigmoid_proposed", eta_mode="std")
-        assert np.all(plan.indices == 0)
-        # all-equal distances give a flat spread, so weights are uniform
-        assert np.allclose(plan.weights, 1.0 / 20)
+        want = np.sqrt(((ref.positions - dist.positions[0]) ** 2).sum(axis=1))
+        for k in (1, 2, 7, 20):
+            plan = build_neighbor_plan(ref, dist, k=k, exclude="nearest",
+                                       scheme="sigmoid_proposed", eta_mode="std")
+            assert plan.indices.shape == plan.distances.shape == (6, k)
+            assert np.all(plan.indices == 0)
+            assert np.array_equal(plan.distances, np.repeat(want[:, None], k, axis=1))
+            # all-equal distances give a flat spread, so weights are uniform
+            assert np.allclose(plan.weights, 1.0 / k)
+
+    @pytest.mark.parametrize("exclude", [None, "none", "both"])
+    def test_unknown_exclusion_rejected(self, rng, exclude):
+        patch = random_patch(rng, 5)
+        with pytest.raises(ValueError, match="unknown exclusion mode"):
+            build_neighbor_plan(patch, patch, k=2, exclude=exclude,
+                                scheme="sigmoid_proposed", eta_mode="std")
 
     def test_design_shape_and_weighting(self, rng):
         patch = random_patch(rng, 30)

@@ -15,6 +15,13 @@ def coords(draw_count, seed, extent=10.0):
     return rng.uniform(-extent, extent, size=(draw_count, 3))
 
 
+def padded(want, k):
+    """An oracle (indices, distances) list widened to k by repeating its
+    last entry, the width rule of ``knn_batch``."""
+    cols = np.minimum(np.arange(k), len(want[0]) - 1)
+    return want[0][cols], want[1][cols]
+
+
 class TestKnn:
     """Single queries through the batch engine, read off row 0."""
 
@@ -68,12 +75,35 @@ class TestKnn:
         idx, _ = knn_batch(index, [[0.0, 0.0, 0.0]], k=2)
         assert list(idx[0]) == [1, 0]  # (0,1,0) sorts before (1,0,0)
 
-    def test_short_result_when_k_exceeds_points(self):
+    def test_k_exceeding_points_repeats_farthest(self):
         pts = coords(3, seed=8)
         index = build_index(pts)
         idx, dist = knn_batch(index, [[0.0, 0.0, 0.0]], k=10)
-        assert len(idx[0]) == 3
+        assert idx.shape == dist.shape == (1, 10)
         assert np.all(np.diff(dist[0]) >= 0)
+        assert sorted(idx[0, :3]) == [0, 1, 2]
+        assert np.all(idx[0, 3:] == idx[0, 2])
+        assert np.all(dist[0, 3:] == dist[0, 2])
+
+    @pytest.mark.parametrize("excluded", [False, True])
+    def test_every_row_is_k_wide(self, excluded):
+        # duplicates make zero distances and ties in the short lists too
+        pts = np.concatenate([coords(6, seed=28), coords(2, seed=28)])
+        n = len(pts)
+        index = build_index(pts)
+        exclude = np.arange(n) if excluded else None
+        for k in range(1, n + 4):
+            idx, dist = knn_batch(index, pts, k, exclude=exclude)
+            assert idx.shape == dist.shape == (n, k)
+            for r, q in enumerate(pts):
+                want = padded(knn_oracle(pts, q, k, exclude=r if excluded else None), k)
+                assert np.array_equal(idx[r], want[0]), (k, r)
+                assert np.array_equal(dist[r], want[1]), (k, r)
+
+    def test_exclusion_from_one_point_rejected(self):
+        index = build_index([[1.0, 2.0, 3.0]])
+        with pytest.raises(ValueError, match="no neighbors left"):
+            knn_batch(index, [[1.0, 2.0, 3.0]], k=1, exclude=[0])
 
     def test_duplicates_accepted(self):
         pts = np.array([[1.0, 1, 1], [1.0, 1, 1], [2.0, 2, 2]])
@@ -93,7 +123,7 @@ class TestKnn:
         q = rng.uniform(-5, 5, size=3)
         index = build_index(pts)
         idx, dist = knn_batch(index, [q], k=k)
-        want_idx, want_dist = knn_oracle(pts, q, k=k)
+        want_idx, want_dist = padded(knn_oracle(pts, q, k=k), k)
         assert np.array_equal(idx[0], want_idx)
         assert np.array_equal(dist[0], want_dist)
 
@@ -106,6 +136,15 @@ class TestKnn:
             one_idx, one_dist = knn_batch(index, [q], k=7)
             assert np.array_equal(idx[row], one_idx[0])
             assert np.array_equal(dist[row], one_dist[0])
+
+
+def split_calls(n, count, self_excluded):
+    """(rows, exclude) per knn_batch call over ``count`` queries whose
+    first ``n`` are the indexed points: with self-exclusion, those rows go
+    in one excluded call and the rest in one plain call."""
+    if not self_excluded:
+        return [(np.arange(count), None)]
+    return [(np.arange(n), np.arange(n)), (np.arange(n, count), None)]
 
 
 class TestTieFallback:
@@ -147,19 +186,17 @@ class TestTieFallback:
             n = len(pts)
             # on-grid queries tie on every shell; half-offset ones sit between
             queries = np.concatenate([pts, pts[::13] + 0.5])
-            exclude = None
-            if self_excluded:
-                exclude = np.concatenate([np.arange(n), np.full(len(queries) - n, -1)])
+            calls = split_calls(n, len(queries), self_excluded)
             index = build_index(pts)
             # oracle lists at the largest k; a smaller k's answer is their prefix
-            want = [knn_oracle(pts, q, 20, exclude=None if exclude is None or exclude[r] < 0
-                               else int(exclude[r]))
+            want = [knn_oracle(pts, q, 20, exclude=r if self_excluded and r < n else None)
                     for r, q in enumerate(queries)]
             for k in (1, 6, 20):
-                idx, dist = knn_batch(index, queries, k, exclude=exclude)
-                for r in range(len(queries)):
-                    assert np.array_equal(idx[r], want[r][0][:k]), (n, k, r)
-                    assert np.array_equal(dist[r], want[r][1][:k]), (n, k, r)
+                for rows, exclude in calls:
+                    idx, dist = knn_batch(index, queries[rows], k, exclude=exclude)
+                    for i, r in enumerate(rows):
+                        assert np.array_equal(idx[i], want[r][0][:k]), (n, k, r)
+                        assert np.array_equal(dist[i], want[r][1][:k]), (n, k, r)
         assert fallbacks["widened"] > 0
         assert fallbacks["scanned"] > 0
 
@@ -203,18 +240,15 @@ class TestSortFreeRerank:
         pts = np.concatenate([rng.uniform(-10, 10, size=(300, 3)), grid, grid[::11]])
         n = len(pts)
         queries = np.concatenate([pts, rng.uniform(-10, 10, size=(20, 3)), grid[::7] + 0.5])
-        exclude = None
-        if self_excluded:
-            exclude = np.concatenate([np.arange(n), np.full(len(queries) - n, -1)])
-        want = [knn_oracle(pts, q, 12, exclude=None if exclude is None or exclude[r] < 0
-                           else int(exclude[r]))
+        want = [knn_oracle(pts, q, 12, exclude=r if self_excluded and r < n else None)
                 for r, q in enumerate(queries)]
         index = build_index(pts)
         for k in (1, 4, 12):
-            idx, dist = knn_batch(index, queries, k, exclude=exclude)
-            for r in range(len(queries)):
-                assert np.array_equal(idx[r], want[r][0][:k]), (k, r)
-                assert np.array_equal(dist[r], want[r][1][:k]), (k, r)
+            for rows, exclude in split_calls(n, len(queries), self_excluded):
+                idx, dist = knn_batch(index, queries[rows], k, exclude=exclude)
+                for i, r in enumerate(rows):
+                    assert np.array_equal(idx[i], want[r][0][:k]), (k, r)
+                    assert np.array_equal(dist[i], want[r][1][:k]), (k, r)
         assert reranked["reranked"] > 0
         assert reranked["rows"] - reranked["reranked"] > 0
 
