@@ -15,7 +15,7 @@ import numpy as np
 from .config import MetricConfig, color_weights_for
 from .savar import PatchEncoding, cross_complexity
 from .segmentation import Patch
-from .spatial import SpatialIndex, build_index, knn_batch
+from .spatial import build_index, knn_batch
 
 __all__ = [
     "PatchFeatures",
@@ -45,12 +45,11 @@ class PatchFeatures:
 @dataclass(frozen=True)
 class ReferencePatch:
     """A reference patch with everything scoring reuses across distorted
-    clouds: its index, self encoding and first difference field (the
-    field's neighbor rows and values). All but ``patch`` are None when the
-    patch has fewer than 2 points."""
+    clouds: its self encoding and first difference field (the field's
+    neighbor rows and values). All but ``patch`` are None when the patch
+    has fewer than 2 points."""
 
     patch: Patch
-    index: SpatialIndex | None
     encoding: PatchEncoding | None
     field_ids: np.ndarray | None
     field_x: np.ndarray | None
@@ -78,21 +77,15 @@ def _g_rows(anchor: np.ndarray, neighbors: np.ndarray, color_weights: np.ndarray
     return ((dcol * color_weights).sum(axis=2) + 1.0) * geom
 
 
-def _field_neighbor_ids(x_hat: np.ndarray, k: int, order: np.ndarray) -> np.ndarray:
+def _field_neighbor_ids(x_hat: np.ndarray, k: int) -> np.ndarray:
     """Each row's k nearest other rows by predicted position (a patch of
     at most k points repeats the farthest).
 
     Distinct points can get the very same prediction (say, from the same
-    equidistant neighbors), and a distance tie between them falls to row
-    rank. ``order`` ranks the rows; the pipeline passes the patch's
-    lexicographic point order, so that choice does not follow the order of
-    the cloud's points.
-    """
-    n = x_hat.shape[0]
-    pos = x_hat[order, :3]
-    ranked, _ = knn_batch(build_index(pos), pos, k, exclude=np.arange(n))
-    idx = np.empty_like(ranked)
-    idx[order] = order[ranked]
+    equidistant neighbors); a distance tie between them falls to the lower
+    row, and ``split_patches`` orders rows independently of the cloud."""
+    pos = x_hat[:, :3]
+    idx, _ = knn_batch(build_index(pos), pos, k, exclude=np.arange(x_hat.shape[0]))
     return idx
 
 
@@ -133,7 +126,7 @@ def patch_features(ref: ReferencePatch, dist: Patch,
         diag = (enc.complexity_geometry, 0.0, enc.complexity_color, 0.0)
         return PatchFeatures(0.0, 0.0, 0.0, diag, skipped=False)
     cross = cross_complexity(ref.patch, dist, config.neighbors, config.weight_scheme,
-                             config.eta_mode, config.ridge, ref_index=ref.index)
+                             config.eta_mode, config.ridge)
     f1_geom = complexity_similarity(enc.complexity_geometry, cross.complexity_geometry,
                                     config.stability)
     f1_col = complexity_similarity(enc.complexity_color, cross.complexity_color,

@@ -106,16 +106,20 @@ class ReferenceState:
 
 
 def resolve_threads(threads: int | None) -> int:
-    """Worker count: explicit argument, then TCDM_THREADS, then machine."""
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("TCDM_THREADS", "").strip()
-    if env:
+    """Worker count: explicit argument, then TCDM_THREADS, then machine;
+    a count below 1 from either source raises."""
+    name, env = "threads", os.environ.get("TCDM_THREADS", "").strip()
+    if threads is None and not env:
+        return max(1, os.cpu_count() or 1)
+    if threads is None:
+        name = "TCDM_THREADS"
         try:
-            return max(1, int(env))
+            threads = int(env)
         except ValueError:
             raise ValueError(f"TCDM_THREADS must be an integer, got {env!r}") from None
-    return max(1, os.cpu_count() or 1)
+    if int(threads) < 1:
+        raise ValueError(f"{name} must be >= 1, got {threads}")
+    return int(threads)
 
 
 def _working_colors(cloud: PointCloud, config: MetricConfig) -> np.ndarray:
@@ -125,16 +129,16 @@ def _working_colors(cloud: PointCloud, config: MetricConfig) -> np.ndarray:
 
 
 def encode_reference_patch(patch: Patch, config: MetricConfig) -> ReferencePatch:
-    """Index a reference patch, encode it from itself and compute its first
-    difference field; a patch under 2 points gets none of these."""
+    """Encode a reference patch from itself and compute its first
+    difference field; a patch under 2 points gets neither."""
     if patch.count < 2:
-        return ReferencePatch(patch, None, None, None, None)
-    index = build_index(patch.positions)
+        return ReferencePatch(patch, None, None, None)
     enc = self_complexity(patch, config.neighbors, config.weight_scheme,
-                          config.eta_mode, config.ridge, patch_index=index)
-    ids = _field_neighbor_ids(enc.predictions, config.neighbors, index.order)
+                          config.eta_mode, config.ridge,
+                          patch_index=build_index(patch.positions))
+    ids = _field_neighbor_ids(enc.predictions, config.neighbors)
     fx = _g_rows(enc.predictions, enc.predictions[ids], color_weights_for(config))
-    return ReferencePatch(patch, index, enc, ids, fx)
+    return ReferencePatch(patch, enc, ids, fx)
 
 
 def _map_patches(fn, ref_patches: list, config: MetricConfig, threads: int | None,

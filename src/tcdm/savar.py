@@ -199,20 +199,15 @@ def fit_savar(targets: np.ndarray, design: np.ndarray, ridge: float = 1e-8) -> S
 
 
 def _encode(targets: Patch, source: Patch, k: int, exclude: str, scheme: str,
-            eta_mode: str, ridge: float, target_index: SpatialIndex,
-            source_index: SpatialIndex | None) -> PatchEncoding:
+            eta_mode: str, ridge: float, source_index: SpatialIndex | None) -> PatchEncoding:
     plan = build_neighbor_plan(targets, source, k, exclude, scheme, eta_mode,
                                source_index=source_index)
-    # Rows enter the normal equations in the lexicographic order of the
-    # target points, making the fit independent of patch member ordering.
-    perm = target_index.order
     pred6 = np.empty((targets.count, 6))
     complexities = []
     for col, (tgt_feat, src_feat) in enumerate(
             ((targets.positions, source.positions), (targets.colors, source.colors))):
-        design = _design_from_plan(plan, src_feat)
-        fit = fit_savar(tgt_feat[perm], design[perm], ridge=ridge)
-        pred6[perm, 3 * col:3 * col + 3] = fit.predictions
+        fit = fit_savar(tgt_feat, _design_from_plan(plan, src_feat), ridge=ridge)
+        pred6[:, 3 * col:3 * col + 3] = fit.predictions
         complexities.append(fit.complexity)
     return PatchEncoding(complexities[0], complexities[1], pred6)
 
@@ -224,15 +219,13 @@ def self_complexity(patch: Patch, k: int, scheme: str = "sigmoid_proposed",
     its neighbor list), given the patch's index. Requires at least 2 points."""
     if patch.count < 2:
         raise ValueError("self-prediction needs a patch with >= 2 points")
-    return _encode(patch, patch, k, "self", scheme, eta_mode, ridge, patch_index,
-                   patch_index)
+    return _encode(patch, patch, k, "self", scheme, eta_mode, ridge, patch_index)
 
 
 def cross_complexity(ref_patch: Patch, dist_patch: Patch, k: int,
                      scheme: str = "sigmoid_proposed", eta_mode: str = "std",
-                     ridge: float = 1e-8, *, ref_index: SpatialIndex) -> PatchEncoding:
-    """Encode the reference patch from neighborhoods in the distorted patch,
-    given the reference patch's index.
+                     ridge: float = 1e-8) -> PatchEncoding:
+    """Encode the reference patch from neighborhoods in the distorted patch.
 
     The closest distorted point is excluded from each neighbor list, the
     cross analogue of self-exclusion: when the distorted patch equals the
@@ -244,5 +237,4 @@ def cross_complexity(ref_patch: Patch, dist_patch: Patch, k: int,
         raise ValueError("cross-prediction needs a reference patch with >= 2 points")
     if dist_patch.count < 1:
         raise ValueError("cross-prediction needs a nonempty distorted patch")
-    return _encode(ref_patch, dist_patch, k, "nearest", scheme, eta_mode, ridge,
-                   ref_index, None)
+    return _encode(ref_patch, dist_patch, k, "nearest", scheme, eta_mode, ridge, None)

@@ -39,7 +39,8 @@ class SeedSet:
 
 @dataclass(frozen=True)
 class Patch:
-    """Points of one cell, translated so the seed is at the origin."""
+    """Points of one cell, translated so the seed is at the origin and
+    sorted by that position, x then y then z (coincident: cloud order)."""
 
     indices: np.ndarray     # original rows in the parent cloud
     positions: np.ndarray   # (n, 3) seed-relative coordinates
@@ -74,7 +75,8 @@ def nearest_seed_labels(positions: np.ndarray, seed_positions: np.ndarray) -> np
 
 def split_patches(positions: np.ndarray, colors: np.ndarray, labels: np.ndarray,
                   seed_positions: np.ndarray) -> list[Patch]:
-    """One patch per seed, in seed order; patch members keep cloud order."""
+    """One patch per seed, in seed order, its rows in an order (see
+    ``Patch``) that does not follow the order of the cloud's points."""
     n_seeds = seed_positions.shape[0]
     # stable sort groups members per label while keeping cloud order
     order = np.argsort(labels, kind="stable")
@@ -82,9 +84,9 @@ def split_patches(positions: np.ndarray, colors: np.ndarray, labels: np.ndarray,
     patches = []
     for l in range(n_seeds):
         members = order[bounds[l]:bounds[l + 1]]
-        patches.append(Patch(
-            indices=members,
-            positions=positions[members] - seed_positions[l],
-            colors=colors[members],
-        ))
+        rel = positions[members] - seed_positions[l]
+        # a stable sort: coincident points keep cloud order
+        rows = np.lexsort((rel[:, 2], rel[:, 1], rel[:, 0]))
+        members = members[rows]
+        patches.append(Patch(indices=members, positions=rel[rows], colors=colors[members]))
     return patches

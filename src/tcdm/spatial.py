@@ -149,9 +149,9 @@ def knn_batch(index: SpatialIndex, queries: np.ndarray, k: int,
     """Vectorized knn for many queries.
 
     Returns (indices, distances) of shape (Q, k) in original point
-    numbering. When ``exclude`` names a point per row, that point never
-    appears (so excluding from a one-point index raises). Every row is k
-    wide: when fewer points are left, the farthest one repeats.
+    numbering. When ``exclude`` names an index point per row, that point
+    never appears (so excluding from a one-point index raises). Every row
+    is k wide: when fewer points are left, the farthest one repeats.
     """
     queries = np.ascontiguousarray(queries, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[1] != 3:
@@ -161,6 +161,13 @@ def knn_batch(index: SpatialIndex, queries: np.ndarray, k: int,
     m = index.count
     excl = None
     if exclude is not None:
+        exclude = np.asarray(exclude)
+        if exclude.shape != (queries.shape[0],) or exclude.dtype.kind not in "iu":
+            raise ValueError(f"exclude must be {queries.shape[0]} integers, one per query, "
+                             f"got shape {exclude.shape} of {exclude.dtype}")
+        bad = np.flatnonzero((exclude < 0) | (exclude >= m))
+        if bad.size:
+            raise ValueError(f"exclude row {bad[0]}: point {exclude[bad[0]]} is not in [0, {m})")
         if m < 2:
             raise ValueError("no neighbors left after exclusion")
         rank = np.empty(m, dtype=np.intp)

@@ -161,6 +161,19 @@ class TestThreadsVariable:
         assert "TCDM_THREADS must be an integer, got 'abc'" in err
         assert "invalid literal" not in err
 
+    @pytest.mark.parametrize("command", ["score", "batch"])
+    @pytest.mark.parametrize("env, flag, message", [
+        ("0", [], "TCDM_THREADS must be >= 1, got 0"),
+        ("2", ["--threads", "-4"], "threads must be >= 1, got -4"),
+    ], ids=["env_zero", "flag_negative"])
+    def test_count_below_one_exits_two(self, ply_pair, capsys, monkeypatch, command, env,
+                                       flag, message):
+        monkeypatch.setenv("TCDM_THREADS", env)
+        args = ([str(ply_pair / "a.ply"), str(ply_pair / "a.ply")] if command == "score"
+                else [str(ply_pair / "missing.csv")])
+        assert main([command, *args, "--seeds", "12", "--k", "8", *flag]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestEndToEnd:
     def test_degrade_then_score_ordering(self, ply_pair, capsys):

@@ -8,7 +8,6 @@ from tcdm.features import (_field_neighbor_ids, _g_rows, complexity_similarity, 
                            prediction_similarity)
 from tcdm.metric import encode_reference_patch
 from tcdm.segmentation import Patch
-from tcdm.spatial import build_index
 
 from oracles import Point, g_difference
 
@@ -113,13 +112,12 @@ class TestGDifference:
 
 class TestDifferenceFields:
     """Both fields of a patch on the rows ``_field_neighbor_ids`` picks from
-    the first reconstruction, ranked by the lexicographic order of the
-    reference positions, as the pipeline builds them."""
+    the first reconstruction, as the pipeline builds them."""
 
     def test_identical_predictions_equal_fields(self, rng):
         positions = rng.uniform(-3, 3, size=(30, 3))
         x_hat = np.column_stack([positions, rng.uniform(0, 255, size=(30, 3))])
-        ids = _field_neighbor_ids(x_hat, 5, build_index(positions).order)
+        ids = _field_neighbor_ids(x_hat, 5)
         y_hat = x_hat.copy()
         assert np.array_equal(_g_rows(x_hat, x_hat[ids], RGB_W),
                               _g_rows(y_hat, y_hat[ids], RGB_W))
@@ -128,7 +126,7 @@ class TestDifferenceFields:
         x_hat = np.array([[0.0, 0, 0, 9, 9, 9],
                           [1.0, 0, 0, 9, 9, 9],
                           [3.0, 0, 0, 9, 9, 9]])
-        ids = _field_neighbor_ids(x_hat, 2, build_index(x_hat[:, :3]).order)
+        ids = _field_neighbor_ids(x_hat, 2)
         fx = _g_rows(x_hat, x_hat[ids], RGB_W)
         # neighbor lists: point0 -> (1, 3), point1 -> (0, 3), point2 -> (1, 0)
         want = np.array([[1.0, 3.0], [1.0, 2.0], [2.0, 3.0]])
@@ -139,11 +137,10 @@ class TestDifferenceFields:
         x_hat = np.column_stack([positions, rng.uniform(0, 255, size=(20, 3))])
         y_hat = np.column_stack([rng.uniform(-3, 3, size=(20, 3)),
                                  rng.uniform(0, 255, size=(20, 3))])
-        order = build_index(positions).order
-        ids1 = _field_neighbor_ids(x_hat, 4, order)
+        ids1 = _field_neighbor_ids(x_hat, 4)
         fx1, fy1 = _g_rows(x_hat, x_hat[ids1], RGB_W), _g_rows(y_hat, y_hat[ids1], RGB_W)
         perm = rng.permutation(20)
-        ids2 = _field_neighbor_ids(x_hat, 4, order)
+        ids2 = _field_neighbor_ids(x_hat, 4)
         y_perm = y_hat[perm]
         fx2, fy2 = _g_rows(x_hat, x_hat[ids2], RGB_W), _g_rows(y_perm, y_perm[ids2], RGB_W)
         assert np.array_equal(fx1, fx2)
@@ -152,7 +149,7 @@ class TestDifferenceFields:
     def test_short_patch_padding(self, rng):
         positions = rng.uniform(-3, 3, size=(3, 3))
         x_hat = np.column_stack([positions, rng.uniform(0, 255, size=(3, 3))])
-        ids = _field_neighbor_ids(x_hat, 6, build_index(positions).order)
+        ids = _field_neighbor_ids(x_hat, 6)
         fx = _g_rows(x_hat, x_hat[ids], RGB_W)
         assert fx.shape == (3, 6)
         assert np.array_equal(fx[:, 2:], np.repeat(fx[:, 1:2], 4, axis=1))

@@ -230,6 +230,21 @@ class TestThreadResolution:
             resolve_threads(None)
         assert resolve_threads(3) == 3
 
+    @pytest.mark.parametrize("threads", [0, -4])
+    def test_explicit_below_one_rejected(self, monkeypatch, threads):
+        from tcdm.metric import resolve_threads
+        monkeypatch.setenv("TCDM_THREADS", "6")
+        with pytest.raises(ValueError, match=f"^threads must be >= 1, got {threads}$"):
+            resolve_threads(threads)
+
+    @pytest.mark.parametrize("env", ["0", "-4"])
+    def test_env_below_one_rejected(self, monkeypatch, env):
+        from tcdm.metric import resolve_threads
+        monkeypatch.setenv("TCDM_THREADS", env)
+        with pytest.raises(ValueError, match=f"^TCDM_THREADS must be >= 1, got {env}$"):
+            resolve_threads(None)
+        assert resolve_threads(1) == 1
+
     def test_machine_default(self, monkeypatch):
         from tcdm.metric import resolve_threads
         monkeypatch.delenv("TCDM_THREADS", raising=False)

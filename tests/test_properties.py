@@ -1,6 +1,6 @@
 """Score properties on small random clouds, at one and two threads: a self
-score of 1.0, bit-equal scores across thread counts, and invariance under
-point permutation.
+score of 1.0, and bit-equal scores across thread counts and under point
+permutation.
 
 The clouds mix distinct positions with exact duplicates that carry the same
 color, so seed sampling and every neighbor plan meet zero distances and
@@ -78,10 +78,10 @@ def test_thread_count_leaves_score(cloud, config, seed):
 @settings(max_examples=25, deadline=None)
 def test_point_permutation_leaves_score(cloud, config, threads, seed):
     noisy = jittered(cloud, seed)
-    q = score(cloud, noisy, config, threads=threads).q
+    report = score(cloud, noisy, config, threads=threads)
     rng = np.random.default_rng(seed)
     pr, pd = rng.permutation(cloud.count), rng.permutation(noisy.count)
-    q_perm = score(PointCloud(cloud.positions[pr], cloud.colors[pr]),
-                   PointCloud(noisy.positions[pd], noisy.colors[pd]), config,
-                   threads=threads).q
-    assert abs(q_perm - q) <= 1e-12
+    permuted = score(PointCloud(cloud.positions[pr], cloud.colors[pr]),
+                     PointCloud(noisy.positions[pd], noisy.colors[pd]), config,
+                     threads=threads)
+    assert (permuted.q, permuted.f1, permuted.f2) == (report.q, report.f1, report.f2)

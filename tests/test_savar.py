@@ -236,14 +236,13 @@ class TestComplexities:
             patch = random_patch(rng, int(rng.integers(10, 80)))
             index = build_index(patch.positions)
             s = self_complexity(patch, k=10, patch_index=index)
-            c = cross_complexity(patch, patch, k=10, ref_index=index)
+            c = cross_complexity(patch, patch, k=10)
             assert c.complexity_geometry == s.complexity_geometry
             assert c.complexity_color == s.complexity_color
             assert np.array_equal(c.predictions, s.predictions)
 
     def test_cross_monotone_in_noise(self, rng):
         patch = random_patch(rng, 150, scale=5.0)
-        index = build_index(patch.positions)
         diameter = np.linalg.norm(patch.positions.max(0) - patch.positions.min(0))
         means = []
         for frac in (0.01, 0.05, 0.1):
@@ -254,7 +253,7 @@ class TestComplexities:
                               patch.positions + noise_rng.normal(0, frac * diameter,
                                                                  size=patch.positions.shape),
                               patch.colors)
-                enc = cross_complexity(patch, noisy, k=10, ref_index=index)
+                enc = cross_complexity(patch, noisy, k=10)
                 vals.append(enc.complexity_geometry)
             means.append(np.mean(vals))
         assert means[0] <= means[1] <= means[2]
@@ -263,7 +262,7 @@ class TestComplexities:
         ref = random_patch(rng, 20)
         lone = Patch(np.arange(1), rng.uniform(-1, 1, size=(1, 3)),
                      rng.uniform(0, 255, size=(1, 3)))
-        enc = cross_complexity(ref, lone, k=20, ref_index=build_index(ref.positions))
+        enc = cross_complexity(ref, lone, k=20)
         assert np.isfinite(enc.predictions).all()
 
     def test_geometry_complexity_scales_sixth_power(self, rng):
@@ -271,14 +270,11 @@ class TestComplexities:
         dist = Patch(ref.indices,
                      ref.positions + rng.normal(0, 0.1, size=ref.positions.shape),
                      ref.colors)
-        base = cross_complexity(ref, dist, k=8,
-                                ref_index=build_index(ref.positions)).complexity_geometry
+        base = cross_complexity(ref, dist, k=8).complexity_geometry
         for s in (2.0, 10.0):
             scaled_ref = Patch(ref.indices, ref.positions * s, ref.colors)
             scaled_dist = Patch(dist.indices, dist.positions * s, dist.colors)
-            got = cross_complexity(scaled_ref, scaled_dist, k=8,
-                                   ref_index=build_index(scaled_ref.positions))
-            got = got.complexity_geometry
+            got = cross_complexity(scaled_ref, scaled_dist, k=8).complexity_geometry
             assert abs(got - base * s ** 6) <= 1e-6 * abs(base * s ** 6)
 
     def test_degenerate_patches_rejected(self, rng):
@@ -288,16 +284,4 @@ class TestComplexities:
         empty = Patch(np.arange(0), np.zeros((0, 3)), np.zeros((0, 3)))
         ref = random_patch(rng, 10)
         with pytest.raises(ValueError):
-            cross_complexity(ref, empty, k=3, ref_index=build_index(ref.positions))
-
-    def test_row_order_canonicalization(self, rng):
-        # permuting patch members changes nothing but the row order of the
-        # returned predictions
-        patch = random_patch(rng, 60)
-        enc = self_complexity(patch, k=8, patch_index=build_index(patch.positions))
-        perm = rng.permutation(60)
-        shuffled = Patch(patch.indices[perm], patch.positions[perm], patch.colors[perm])
-        enc_p = self_complexity(shuffled, k=8, patch_index=build_index(shuffled.positions))
-        assert enc_p.complexity_geometry == enc.complexity_geometry
-        assert enc_p.complexity_color == enc.complexity_color
-        assert np.array_equal(enc_p.predictions, enc.predictions[perm])
+            cross_complexity(ref, empty, k=3)

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from tcdm.pointcloud import PointCloud
+from tcdm.savar import self_complexity
 from tcdm.segmentation import nearest_seed_labels, select_seeds, split_patches
+from tcdm.spatial import build_index
 
 from conftest import random_cloud
 from oracles import nearest_seed_oracle
@@ -154,13 +156,23 @@ class TestBuildPatchPairs:
             assert np.abs(back - original).max() <= 1e-12 * max(1.0, np.abs(original).max())
             assert np.array_equal(r.colors, ref.colors[r.indices])
 
-    def test_members_keep_cloud_order(self, cloud_pair):
-        ref, dist = cloud_pair
-        seeds = select_seeds(ref, 25)
-        pairs = patch_pairs(ref, dist, seeds)
-        for r, d in pairs:
-            assert np.all(np.diff(r.indices) > 0)
-            assert np.all(np.diff(d.indices) > 0)
+    def test_members_in_lexicographic_order(self, rng):
+        # x-ties on a coarse grid, plus exact duplicates of some points
+        grid = rng.integers(0, 4, size=(200, 3)).astype(np.float64)
+        dup = rng.integers(0, 200, size=60)
+        positions = np.concatenate([grid, grid[dup]])
+        cloud = PointCloud(positions, rng.uniform(0, 255, size=(260, 3)))
+        seeds = select_seeds(cloud, 5)
+        labels = nearest_seed_labels(positions, seeds.positions)
+        ties = 0
+        for p in split_patches(positions, cloud.colors, labels, seeds.positions):
+            rows = [tuple(x) for x in p.positions.tolist()]
+            assert rows == sorted(rows)
+            # coincident points keep ascending cloud rows
+            same = np.all(p.positions[1:] == p.positions[:-1], axis=1)
+            assert np.all(np.diff(p.indices)[same] > 0)
+            ties += np.count_nonzero(same)
+        assert ties > 0
 
     def test_joint_translation_invariance(self, cloud_pair):
         ref, dist = cloud_pair
@@ -190,11 +202,26 @@ class TestBuildPatchPairs:
         pairs = patch_pairs(ref, dist, seeds)
         pairs_p = patch_pairs(ref_p, dist, seeds_p)
         for (ra, da), (rb, db) in zip(pairs, pairs_p):
-            # same members as coordinate multisets
-            sa = sorted(map(tuple, ra.positions.tolist()))
-            sb = sorted(map(tuple, rb.positions.tolist()))
-            assert sa == sb
+            assert np.array_equal(ra.positions, rb.positions)
+            assert np.array_equal(ra.colors, rb.colors)
             assert np.array_equal(da.indices, db.indices)
+
+    def test_permuted_cloud_encodes_bit_equal(self, rng):
+        # rows come out in one order whatever the cloud order, so the fits
+        # see the very same rows
+        ref = random_cloud(400, rng)
+        seeds = select_seeds(ref, 6)
+        perm = rng.permutation(ref.count)
+        ref_p = PointCloud(ref.positions[perm], ref.colors[perm])
+        for ra, rb in patch_pairs(ref, ref_p, seeds):
+            assert np.array_equal(ra.positions, rb.positions)
+            assert np.array_equal(ra.colors, rb.colors)
+            assert np.array_equal(perm[rb.indices], ra.indices)
+            enc = self_complexity(ra, k=8, patch_index=build_index(ra.positions))
+            enc_p = self_complexity(rb, k=8, patch_index=build_index(rb.positions))
+            assert enc_p.complexity_geometry == enc.complexity_geometry
+            assert enc_p.complexity_color == enc.complexity_color
+            assert np.array_equal(enc_p.predictions, enc.predictions)
 
     def test_empty_distorted_patch_is_represented(self):
         ref = PointCloud(np.array([[0.0, 0, 0], [0.1, 0, 0], [10.0, 0, 0], [10.1, 0, 0]]),

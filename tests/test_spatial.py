@@ -105,6 +105,19 @@ class TestKnn:
         with pytest.raises(ValueError, match="no neighbors left"):
             knn_batch(index, [[1.0, 2.0, 3.0]], k=1, exclude=[0])
 
+    @pytest.mark.parametrize("exclude, message", [
+        ([0, -1], r"exclude row 1: point -1 is not in \[0, 3\)"),
+        ([3, 1], r"exclude row 0: point 3 is not in \[0, 3\)"),
+        ([0], r"exclude must be 2 integers, one per query, got shape \(1,\)"),
+        ([0, 1, 2], r"exclude must be 2 integers, one per query, got shape \(3,\)"),
+        ([0.0, 1.0], r"exclude must be 2 integers"),
+    ], ids=["negative", "past_end", "short", "long", "float"])
+    def test_bad_exclusion_rejected(self, exclude, message):
+        # a negative point would wrap around to the last one
+        pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])
+        with pytest.raises(ValueError, match=message):
+            knn_batch(build_index(pts), pts[:2], k=2, exclude=exclude)
+
     def test_duplicates_accepted(self):
         pts = np.array([[1.0, 1, 1], [1.0, 1, 1], [2.0, 2, 2]])
         index = build_index(pts)
