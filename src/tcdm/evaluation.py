@@ -234,6 +234,7 @@ def run_benchmark(manifest_path, config: MetricConfig | None = None,
         return digests[path]
 
     keyed = []  # (row, key or None, q or None)
+    pending = {}  # reference path -> positions in keyed of its rows to score
     cache_hits = 0
     skipped = 0
     for row in rows:
@@ -248,48 +249,22 @@ def run_benchmark(manifest_path, config: MetricConfig | None = None,
             cache_hits += 1
             keyed.append((row, key, float(cache[key])))
         else:
+            pending.setdefault(os.path.join(base, ref_rel), []).append(len(keyed))
             keyed.append((row, key, None))
 
-    # pass 2: prepare each distinct reference once, then score the pending
-    # rows concurrently (states are immutable, rows independent)
-    pending = [i for i, (_, _, q) in enumerate(keyed) if q is None]
-    state_by_ref = {}
-    for i in pending:
-        ref_path = os.path.join(base, keyed[i][0][0])
-        if ref_path not in state_by_ref:
-            try:
-                state_by_ref[ref_path] = prepare_reference(load_ply(ref_path), config,
-                                                          threads=n_workers)
-            except (OSError, ValueError) as exc:
-                log.warning("cannot prepare reference %s: %s", keyed[i][0][0], exc)
-                state_by_ref[ref_path] = None
+    # pass 2: one reference at a time, in order of first appearance; each
+    # q lands in its row's manifest slot
+    for ref_path, ids in pending.items():
+        qs = _score_rows(ref_path, [keyed[i][0] for i in ids], base, config, n_workers)
+        for i, q in zip(ids, qs):
+            if q is None:
+                skipped += 1
+            else:
+                row, key, _ = keyed[i]
+                keyed[i] = (row, key, q)
+                cache[key] = q
 
-    def score_row(i):
-        row, _, _ = keyed[i]
-        state = state_by_ref[os.path.join(base, row[0])]
-        if state is None:
-            return None
-        try:
-            return score_with_reference(state, load_ply(os.path.join(base, row[1])),
-                                        threads=1).q
-        except (OSError, ValueError) as exc:
-            log.warning("skipping pair (%s, %s): %s", row[0], row[1], exc)
-            return None
-
-    if n_workers > 1 and len(pending) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            scored = list(pool.map(score_row, pending))
-    else:
-        scored = [score_row(i) for i in pending]
-
-    # pass 3: merge in manifest order, persist the cache, summarize
-    for i, q in zip(pending, scored):
-        if q is None:
-            skipped += 1
-        else:
-            row, key, _ = keyed[i]
-            keyed[i] = (row, key, q)
-            cache[key] = q
+    # pass 3: persist the cache, summarize in manifest order
     records = [ScoredRecord(row[0], row[1], row[2], row[3], q)
                for row, _, q in keyed if q is not None]
 
@@ -302,6 +277,29 @@ def run_benchmark(manifest_path, config: MetricConfig | None = None,
     summary.skipped_files = skipped
     _write_report(out_path, records, summary)
     return summary
+
+
+def _score_rows(ref_path, rows, base, config: MetricConfig, n_workers: int) -> list:
+    """q of each row against the reference at ``ref_path``, None where a
+    file cannot be scored. The prepared state lives only for this call."""
+    try:
+        state = prepare_reference(load_ply(ref_path), config, threads=n_workers)
+    except (OSError, ValueError) as exc:
+        log.warning("cannot prepare reference %s: %s", rows[0][0], exc)
+        return [None] * len(rows)
+
+    def score_row(row):
+        try:
+            return score_with_reference(state, load_ply(os.path.join(base, row[1])),
+                                        threads=1).q
+        except (OSError, ValueError) as exc:
+            log.warning("skipping pair (%s, %s): %s", row[0], row[1], exc)
+            return None
+
+    if n_workers > 1 and len(rows) > 1:
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+            return list(pool.map(score_row, rows))
+    return [score_row(row) for row in rows]
 
 
 def _replace_json(path, obj) -> None:

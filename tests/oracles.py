@@ -82,6 +82,15 @@ def g_difference(a: Point, b: Point, color_weights) -> float:
     return color_term * geom
 
 
+def g_rows_gather(anchor, neighbors, color_weights):
+    """g over (n, 6) anchors and their gathered (n, K, 6) neighbor rows,
+    summed across the channel axis (the pipeline's former form)."""
+    dpos = neighbors[:, :, :3] - anchor[:, None, :3]
+    geom = np.sqrt((dpos ** 2).sum(axis=2))
+    dcol = np.abs(neighbors[:, :, 3:] - anchor[:, None, 3:])
+    return ((dcol * color_weights).sum(axis=2) + 1.0) * geom
+
+
 def pinv_predictions(design, targets):
     """Least-squares predictions through an explicit pseudo-inverse."""
     return design @ (np.linalg.pinv(design) @ targets)

@@ -1,5 +1,6 @@
 import csv
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from tcdm import evaluation
 from tcdm.config import MetricConfig
 from tcdm.evaluation import (f_test, fit_logistic5, logistic5, plcc, rmse,
                              run_benchmark, srocc)
-from tcdm.pointcloud import DegradationSpec, degrade, save_ply
+from tcdm.metric import score
+from tcdm.pointcloud import DegradationSpec, degrade, load_ply, save_ply
 from tcdm.synthetic import plane_cloud, sphere_cloud, noisy_torus_cloud
 
 from oracles import (pearson_oracle, rmse_oracle, spearman_oracle,
@@ -291,6 +293,42 @@ class TestRunBenchmark:
         env = json.loads((tmp_path / "env.csv.scores.json").read_text())
         assert len(one) == 2
         assert env == one
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_prepared_reference_at_a_time(self, tmp_path, monkeypatch, threads):
+        config = MetricConfig(seeds=8, neighbors=6)
+        want = {}   # cache key -> score() of the pair as read back from disk
+        for name, seed in (("a", 7), ("b", 8)):
+            ref_path = tmp_path / f"{name}.ply"
+            save_ply(sphere_cloud(600, seed, radius=100.0), ref_path)
+            ref = load_ply(ref_path)
+            for i in range(2):
+                dist_path = tmp_path / f"{name}{i}.ply"
+                save_ply(degrade(ref, DegradationSpec("geometry_gaussian", 1.0 + i, seed + i)),
+                         dist_path)
+                key = (f"{evaluation._sha256_file(ref_path)}:"
+                       f"{evaluation._sha256_file(dist_path)}:{evaluation._config_digest(config)}")
+                want[key] = score(ref, load_ply(dist_path), config, threads=1).q
+        # the two references' rows interleave
+        rows = [["a.ply", "a0.ply", "g", 1.0], ["b.ply", "b0.ply", "g", 2.0],
+                ["a.ply", "a1.ply", "g", 3.0], ["b.ply", "b1.ply", "g", 4.0]]
+        manifest = _build_manifest(tmp_path, rows)
+        states = []
+        original = evaluation.prepare_reference
+
+        def tracking(reference, config, threads=None):
+            assert all(ref() is None for ref in states), "an earlier state is still held"
+            state = original(reference, config, threads=threads)
+            states.append(weakref.ref(state))
+            return state
+
+        monkeypatch.setattr(evaluation, "prepare_reference", tracking)
+        run_benchmark(manifest, config, tmp_path / "r.csv", threads=threads)
+        assert len(states) == 2
+        assert json.loads((tmp_path / "r.csv.scores.json").read_text()) == want
+        with open(tmp_path / "r.csv", newline="") as fh:
+            report = list(csv.reader(fh))
+        assert [r[1] for r in report[1:5]] == ["a0.ply", "b0.ply", "a1.ply", "b1.ply"]
 
     @pytest.mark.parametrize("mos", ["nan", "inf", "good", ""])
     def test_bad_mos_rejected_before_scoring(self, tmp_path, monkeypatch, mos):

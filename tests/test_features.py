@@ -9,7 +9,7 @@ from tcdm.features import (_field_neighbor_ids, _g_rows, complexity_similarity, 
 from tcdm.metric import encode_reference_patch
 from tcdm.segmentation import Patch
 
-from oracles import Point, g_difference
+from oracles import Point, g_difference, g_rows_gather
 
 
 RGB_W = np.array([0.25, 0.5, 0.25])
@@ -26,9 +26,10 @@ def make_pair(rng, n_ref, n_dist, scale=5.0):
 
 def g_pair(a: Point, b: Point, color_weights) -> float:
     """The pipeline's vectorized g on one anchor and one neighbor."""
-    anchor = np.concatenate([a.position, a.color])[None, :]
-    neighbor = np.concatenate([b.position, b.color])[None, None, :]
-    return float(_g_rows(anchor, neighbor, np.asarray(color_weights, dtype=np.float64))[0, 0])
+    pred = np.stack([np.concatenate([a.position, a.color]),
+                     np.concatenate([b.position, b.color])])
+    ids = np.array([[1], [0]], dtype=np.int32)
+    return float(_g_rows(pred, ids, np.asarray(color_weights, dtype=np.float64))[0, 0])
 
 
 class TestComplexitySimilarity:
@@ -102,12 +103,51 @@ class TestGDifference:
         anchor = np.column_stack([rng.uniform(-5, 5, size=(40, 3)),
                                   rng.uniform(0, 255, size=(40, 3))])
         ids = rng.integers(0, 40, size=(40, 7))
-        got = _g_rows(anchor, anchor[ids], weights)
+        got = _g_rows(anchor, ids, weights)
         for i in range(40):
             a = Point(anchor[i, :3], anchor[i, 3:])
             want = [g_difference(a, Point(anchor[j, :3], anchor[j, 3:]), weights)
                     for j in ids[i]]
             assert got[i].tolist() == want
+
+
+class TestGRowsMatchesGather:
+    """``_g_rows`` over (n, K) ids is bit-equal to the (n, K, 6) gather."""
+
+    CONFIGS = [MetricConfig(color_space=s, color_weight_mode=m)
+               for s in ("rgb", "yuv") for m in ("normalized", "raw")]
+
+    @staticmethod
+    def check(pred, ids):
+        for cfg in TestGRowsMatchesGather.CONFIGS:
+            w = color_weights_for(cfg)
+            want = g_rows_gather(pred, pred[ids], w)
+            for dtype in (np.int32, np.intp):
+                got = _g_rows(pred, ids.astype(dtype), w)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_predictions(self, seed):
+        rng = np.random.default_rng(seed)
+        n, k = int(rng.integers(2, 400)), int(rng.integers(1, 25))
+        pred = np.column_stack([rng.normal(scale=100.0, size=(n, 3)),
+                                rng.uniform(-20, 280, size=(n, 3))])
+        self.check(pred, rng.integers(0, n, size=(n, k)))
+
+    def test_duplicates_and_rounded_grid(self, rng):
+        pred = np.round(np.column_stack([rng.uniform(-3, 3, size=(60, 3)),
+                                         rng.uniform(0, 255, size=(60, 3))]))
+        pred = np.concatenate([pred, pred[:20]])
+        self.check(pred, _field_neighbor_ids(pred, 9))
+
+    def test_two_point_patch_padded_ids(self, rng):
+        pred = np.column_stack([rng.uniform(-3, 3, size=(2, 3)),
+                                rng.uniform(0, 255, size=(2, 3))])
+        ids = _field_neighbor_ids(pred, 8)
+        assert ids.dtype == np.int32
+        assert ids.tolist() == [[1] * 8, [0] * 8]
+        self.check(pred, ids)
 
 
 class TestDifferenceFields:
@@ -119,15 +159,14 @@ class TestDifferenceFields:
         x_hat = np.column_stack([positions, rng.uniform(0, 255, size=(30, 3))])
         ids = _field_neighbor_ids(x_hat, 5)
         y_hat = x_hat.copy()
-        assert np.array_equal(_g_rows(x_hat, x_hat[ids], RGB_W),
-                              _g_rows(y_hat, y_hat[ids], RGB_W))
+        assert np.array_equal(_g_rows(x_hat, ids, RGB_W), _g_rows(y_hat, ids, RGB_W))
 
     def test_collinear_constant_color(self):
         x_hat = np.array([[0.0, 0, 0, 9, 9, 9],
                           [1.0, 0, 0, 9, 9, 9],
                           [3.0, 0, 0, 9, 9, 9]])
         ids = _field_neighbor_ids(x_hat, 2)
-        fx = _g_rows(x_hat, x_hat[ids], RGB_W)
+        fx = _g_rows(x_hat, ids, RGB_W)
         # neighbor lists: point0 -> (1, 3), point1 -> (0, 3), point2 -> (1, 0)
         want = np.array([[1.0, 3.0], [1.0, 2.0], [2.0, 3.0]])
         assert np.allclose(fx, want, atol=1e-12)
@@ -138,11 +177,11 @@ class TestDifferenceFields:
         y_hat = np.column_stack([rng.uniform(-3, 3, size=(20, 3)),
                                  rng.uniform(0, 255, size=(20, 3))])
         ids1 = _field_neighbor_ids(x_hat, 4)
-        fx1, fy1 = _g_rows(x_hat, x_hat[ids1], RGB_W), _g_rows(y_hat, y_hat[ids1], RGB_W)
+        fx1, fy1 = _g_rows(x_hat, ids1, RGB_W), _g_rows(y_hat, ids1, RGB_W)
         perm = rng.permutation(20)
         ids2 = _field_neighbor_ids(x_hat, 4)
         y_perm = y_hat[perm]
-        fx2, fy2 = _g_rows(x_hat, x_hat[ids2], RGB_W), _g_rows(y_perm, y_perm[ids2], RGB_W)
+        fx2, fy2 = _g_rows(x_hat, ids2, RGB_W), _g_rows(y_perm, ids2, RGB_W)
         assert np.array_equal(fx1, fx2)
         assert not np.array_equal(fy1, fy2)
 
@@ -150,7 +189,7 @@ class TestDifferenceFields:
         positions = rng.uniform(-3, 3, size=(3, 3))
         x_hat = np.column_stack([positions, rng.uniform(0, 255, size=(3, 3))])
         ids = _field_neighbor_ids(x_hat, 6)
-        fx = _g_rows(x_hat, x_hat[ids], RGB_W)
+        fx = _g_rows(x_hat, ids, RGB_W)
         assert fx.shape == (3, 6)
         assert np.array_equal(fx[:, 2:], np.repeat(fx[:, 1:2], 4, axis=1))
 

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 from concurrent.futures import ThreadPoolExecutor
 
@@ -6,6 +7,7 @@ import pytest
 
 import tcdm.metric
 from tcdm.config import MetricConfig, rgb_to_yuv
+from tcdm.features import ReferencePatch
 from tcdm.metric import prepare_reference, score, score_with_reference
 from tcdm.pointcloud import DegradationSpec, PointCloud, degrade
 from tcdm.synthetic import sphere_cloud
@@ -251,6 +253,35 @@ class TestThreadResolution:
         assert resolve_threads(None) >= 1
 
 
+def _array_bytes(obj) -> int:
+    """Summed nbytes of every array held by a dataclass, nested ones too."""
+    total = 0
+    for field in dataclasses.fields(obj):
+        value = getattr(obj, field.name)
+        if isinstance(value, np.ndarray):
+            total += value.nbytes
+        elif dataclasses.is_dataclass(value):
+            total += _array_bytes(value)
+    return total
+
+
+class TestPreparedLayout:
+    """What a prepared reference keeps per point: int32 field ids (4K),
+    predictions (48), positions (24), colors (24) and cloud rows (8)."""
+
+    def test_bytes_per_point(self):
+        k = 20
+        state = prepare_reference(sphere_cloud(3000, 4, radius=100.0),
+                                  MetricConfig(seeds=10, neighbors=k), threads=1)
+        assert "field_x" not in {f.name for f in dataclasses.fields(ReferencePatch)}
+        encoded = [p for p in state.patches if p.encoding is not None]
+        assert sum(p.patch.count for p in encoded) == 3000
+        for ref in encoded:
+            assert ref.field_ids.dtype == np.int32
+            assert ref.field_ids.shape == (ref.patch.count, k)
+            assert _array_bytes(ref) == ref.patch.count * (4 * k + 104)
+
+
 class TestPatchPool:
     def test_prepare_bit_identical_across_threads(self, pair, monkeypatch):
         monkeypatch.setattr(tcdm.metric, "_POOL_MIN_SLOTS", 0)
@@ -263,7 +294,6 @@ class TestPatchPool:
                 assert other.encoding.complexity_geometry == first.encoding.complexity_geometry
                 assert other.encoding.complexity_color == first.encoding.complexity_color
                 assert np.array_equal(other.field_ids, first.field_ids)
-                assert np.array_equal(other.field_x, first.field_x)
 
     @pytest.fixture
     def pools(self, monkeypatch):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from tcdm import spatial
+from tcdm.segmentation import split_patches
 from tcdm.spatial import build_index, farthest_point_sampling, knn_batch, random_sampling
 
 from oracles import fps_oracle, knn_oracle
@@ -336,6 +337,51 @@ class TestFpsMatchesOracle:
                     for c in range(30)]
         clusters.append(np.full((2, 3), offset))
         self.check(np.concatenate(clusters))
+
+
+class TestIndexOrder:
+    """``order`` skips the lexsort for presorted rows and must agree with
+    it on every input."""
+
+    @staticmethod
+    def lexsorted(pts):
+        return np.lexsort((np.arange(len(pts)), pts[:, 2], pts[:, 1], pts[:, 0]))
+
+    def cases(self):
+        rng = np.random.default_rng(21)
+        grid = rng.integers(0, 3, size=(200, 3)).astype(np.float64)
+        rows = coords(150, seed=22)
+        dup = np.repeat(coords(30, seed=23), 3, axis=0)
+        signed_zeros = np.array([[0.0, 0, 0], [-0.0, 0, 0]])
+        for pts in (rows, grid, dup, np.array([[0.0, 1, 2]]), signed_zeros):
+            pts = pts[self.lexsorted(pts)]
+            yield pts                       # presorted, ties included
+            yield pts[::-1]                 # reversed
+            yield pts[rng.permutation(len(pts))]
+
+    def test_order_equals_lexsort(self):
+        for pts in self.cases():
+            assert np.array_equal(build_index(pts).order, self.lexsorted(pts))
+
+    def test_presorted_is_identity(self, monkeypatch):
+        sorts = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(1) or lexsort(keys))
+        x_ties = np.array([[1.0, 2, 3], [1.0, 2, 4], [1.0, 3, 0], [2.0, -5, -5], [2.0, -5, -5]])
+        assert build_index(x_ties).order.tolist() == [0, 1, 2, 3, 4]
+        assert sorts == []
+        assert build_index(x_ties[::-1]).order.tolist() == [4, 3, 2, 0, 1]
+        assert build_index(x_ties[[1, 0, 2, 3, 4]]).order.tolist() == [1, 0, 2, 3, 4]
+        assert len(sorts) == 2
+
+    def test_split_patches_rows_skip_the_sort(self, monkeypatch):
+        pts = np.round(coords(2000, seed=24), 1)
+        seeds = pts[:12]
+        labels, _ = knn_batch(build_index(seeds), pts, 1)
+        patches = split_patches(pts, np.zeros_like(pts), labels[:, 0], seeds)
+        monkeypatch.setattr(np, "lexsort", None)   # any sort would raise
+        for patch in patches:
+            assert np.array_equal(build_index(patch.positions).order, np.arange(patch.count))
 
 
 class TestPermutationInvariance:
