@@ -20,9 +20,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
-from scipy.stats import f as f_distribution
-from scipy.stats import rankdata
 
 from .config import MetricConfig
 from .metric import prepare_reference, resolve_threads, score_with_reference
@@ -101,6 +98,7 @@ def fit_logistic5(scores, mos):
     if spread == 0.0:
         raise ValueError("scores are constant; logistic fit is undefined")
     x0 = np.array([y.max() - y.min(), 1.0 / spread, q.mean(), 0.0, y.mean()])
+    from scipy.optimize import least_squares  # imported here, so scoring never loads it
     result = least_squares(lambda b: logistic5(q, b) - y, x0,
                            method="trf", max_nfev=10000, ftol=1e-10, xtol=1e-12, gtol=1e-12)
     params = LogisticParams(*result.x)
@@ -132,6 +130,7 @@ def plcc(a, b) -> float:
 def srocc(a, b) -> float:
     """Spearman rank correlation: Pearson over average (fractional) ranks,
     ties sharing their mean rank."""
+    from scipy.stats import rankdata
     a, b = _check_pair(a, b)
     return plcc(rankdata(a), rankdata(b))
 
@@ -155,6 +154,7 @@ def f_test(residuals_a, residuals_b, significance: float = 0.05) -> int:
         return 0
     if var_b == 0.0:
         raise ValueError("degenerate variance in second residual set")
+    from scipy.stats import f as f_distribution
     critical = f_distribution.ppf(significance, a.size - 1, b.size - 1)
     return int(var_a / var_b < critical)
 

@@ -45,9 +45,9 @@ class PatchFeatures:
 @dataclass(frozen=True)
 class ReferencePatch:
     """A reference patch with everything scoring reuses across distorted
-    clouds: its self encoding and the (n, K) int32 neighbor rows both
-    difference fields are taken over. Both are None when the patch has
-    fewer than 2 points."""
+    clouds: its self encoding and the (n, K) neighbor rows both difference
+    fields are taken over, in the smallest unsigned type that holds n - 1.
+    Both are None when the patch has fewer than 2 points."""
 
     patch: Patch
     encoding: PatchEncoding | None
@@ -78,14 +78,15 @@ def _g_rows(pred: np.ndarray, ids: np.ndarray, color_weights: np.ndarray) -> np.
 
 
 def _field_neighbor_ids(x_hat: np.ndarray, k: int) -> np.ndarray:
-    """Each row's k nearest other rows by predicted position, as int32 (a
-    patch of at most k points repeats the farthest).
+    """Each row's k nearest other rows by predicted position, at patch width:
+    uint8 under 256 rows, uint16 under 65,536 (a short patch repeats the farthest).
 
     Distinct points can get the very same prediction (say, from the same
     equidistant neighbors); a distance tie between them falls to the lower
     row, and ``split_patches`` orders rows independently of the cloud."""
     pos = x_hat[:, :3]
-    return knn_batch(build_index(pos), pos, k, exclude=np.arange(len(pos)))[0].astype(np.int32)
+    ids, _ = knn_batch(build_index(pos), pos, k, exclude=np.arange(len(pos)))
+    return ids.astype(np.min_scalar_type(len(pos) - 1))
 
 
 def prediction_similarity(field_x: np.ndarray, field_y: np.ndarray, stability: float) -> float:

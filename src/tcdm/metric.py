@@ -140,19 +140,18 @@ def encode_reference_patch(patch: Patch, config: MetricConfig) -> ReferencePatch
     return ReferencePatch(patch, enc, _field_neighbor_ids(enc.predictions, config.neighbors))
 
 
-def _map_patches(fn, ref_patches: list, config: MetricConfig, threads: int | None,
-                 stage: str) -> list:
-    """``fn`` over patch indices, in patch order; pooled only when the
-    caller asks for workers and the mean patch has _POOL_MIN_SLOTS."""
-    counts = [p.count for p in ref_patches if p.count >= 2]
-    slots = config.neighbors * sum(counts) / max(1, len(counts))
+def _map_patches(fn, counts, config: MetricConfig, threads: int | None, stage: str) -> list:
+    """``fn`` over patch indices, in patch order; pooled only when the caller
+    asks for workers and the patches' mean point count has _POOL_MIN_SLOTS."""
+    sized = [n for n in counts if n >= 2]
+    slots = config.neighbors * sum(sized) / max(1, len(sized))
     workers = resolve_threads(threads)
     workers = workers if slots >= _POOL_MIN_SLOTS else 1
     log.debug("%s: %d worker(s), %.0f neighbor slots per patch", stage, workers, slots)
-    if workers > 1 and len(ref_patches) > 1:
+    if workers > 1 and len(counts) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, range(len(ref_patches))))
-    return [fn(l) for l in range(len(ref_patches))]
+            return list(pool.map(fn, range(len(counts))))
+    return [fn(l) for l in range(len(counts))]
 
 
 def prepare_reference(reference: PointCloud, config: MetricConfig | None = None,
@@ -168,7 +167,7 @@ def prepare_reference(reference: PointCloud, config: MetricConfig | None = None,
     labels = nearest_seed_labels(reference.positions, seeds.positions)
     ref_patches = split_patches(reference.positions, colors, labels, seeds.positions)
     prepared = _map_patches(lambda l: encode_reference_patch(ref_patches[l], config),
-                            ref_patches, config, threads, "prepare")
+                            ref_patches.counts, config, threads, "prepare")
     return ReferenceState(config=config, seed_positions=seeds.positions,
                           ref_points=reference.count, patches=prepared)
 
@@ -182,9 +181,8 @@ def score_with_reference(state: ReferenceState, distorted: PointCloud,
     labels = nearest_seed_labels(distorted.positions, state.seed_positions)
     dist_patches = split_patches(distorted.positions, colors, labels, state.seed_positions)
     feats = _map_patches(lambda l: patch_features(state.patches[l], dist_patches[l], config),
-                         [r.patch for r in state.patches], config, threads, "score")
-    empty = sum(1 for ref, dist in zip(state.patches, dist_patches)
-                if ref.encoding is not None and dist.count == 0)
+                         [r.patch.count for r in state.patches], config, threads, "score")
+    empty = int(np.sum(dist_patches.counts[[r.encoding is not None for r in state.patches]] == 0))
     return _fuse(feats, config, state.ref_points, distorted.count, empty)
 
 

@@ -202,7 +202,7 @@ def load_ply(path) -> PointCloud:
                 for _ in range(count):
                     fh.readline()
             else:
-                fh.seek(_vertex_layout_size(props) * count, os.SEEK_CUR)
+                fh.seek(_vertex_layout_size(path, props) * count, os.SEEK_CUR)
         _, count, props = vertex
         dtype = _vertex_layout(path, props)
         if fmt == "ascii":
@@ -226,10 +226,10 @@ def load_ply(path) -> PointCloud:
     return PointCloud(positions, colors)
 
 
-def _vertex_layout_size(props):
+def _vertex_layout_size(path, props):
     for name, typ in props:
         if typ not in _PLY_DTYPES:
-            raise PlyError(f"unknown property type {typ!r} for {name!r}")
+            raise PlyError(f"{path}: unknown property type {typ!r} for {name!r}")
     return sum(np.dtype(_PLY_DTYPES[t]).itemsize for _, t in props)
 
 

@@ -144,9 +144,9 @@ def build_neighbor_plan(targets: Patch, source: Patch, k: int, exclude: str,
 
 
 def _design_from_plan(plan: NeighborPlan, source_features: np.ndarray) -> np.ndarray:
-    n, k = plan.indices.shape
-    blocks = source_features[plan.indices] * plan.weights[:, :, None]
-    return blocks.reshape(n, k * source_features.shape[1])
+    blocks = np.take(source_features, plan.indices, axis=0)  # (n, K, d)
+    blocks *= plan.weights[:, :, None]
+    return blocks.reshape(len(blocks), -1)
 
 
 def _clamped_det(sigma: np.ndarray) -> float:

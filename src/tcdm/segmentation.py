@@ -73,20 +73,31 @@ def nearest_seed_labels(positions: np.ndarray, seed_positions: np.ndarray) -> np
     return labels[:, 0]
 
 
-def split_patches(positions: np.ndarray, colors: np.ndarray, labels: np.ndarray,
-                  seed_positions: np.ndarray) -> list[Patch]:
-    """One patch per seed, in seed order, its rows in an order (see
-    ``Patch``) that does not follow the order of the cloud's points."""
-    n_seeds = seed_positions.shape[0]
-    # stable sort groups members per label while keeping cloud order
-    order = np.argsort(labels, kind="stable")
-    bounds = np.concatenate([[0], np.cumsum(np.bincount(labels, minlength=n_seeds))])
-    patches = []
-    for l in range(n_seeds):
-        members = order[bounds[l]:bounds[l + 1]]
-        rel = positions[members] - seed_positions[l]
+class PatchSplit:
+    """One patch per seed, in seed order, its rows in an order (see ``Patch``)
+    that does not follow the order of the cloud's points. A sequence: patch
+    ``l`` is cut when it is indexed, so a caller holds only what it keeps."""
+
+    def __init__(self, positions, colors, labels, seed_positions):
+        self._positions, self._colors, self._seeds = positions, colors, seed_positions
+        self.counts = np.bincount(labels, minlength=seed_positions.shape[0])
+        self._order = np.argsort(labels, kind="stable")  # per label, in cloud order
+        self._bounds = np.concatenate([[0], np.cumsum(self.counts)])
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def __getitem__(self, l: int) -> Patch:
+        l = range(len(self.counts))[l]
+        members = self._order[self._bounds[l]:self._bounds[l + 1]]
+        rel = self._positions[members] - self._seeds[l]
         # a stable sort: coincident points keep cloud order
         rows = np.lexsort((rel[:, 2], rel[:, 1], rel[:, 0]))
         members = members[rows]
-        patches.append(Patch(indices=members, positions=rel[rows], colors=colors[members]))
-    return patches
+        return Patch(indices=members, positions=rel[rows], colors=self._colors[members])
+
+
+def split_patches(positions: np.ndarray, colors: np.ndarray, labels: np.ndarray,
+                  seed_positions: np.ndarray) -> PatchSplit:
+    """The patches of a labelled cloud (see ``PatchSplit``)."""
+    return PatchSplit(positions, colors, labels, seed_positions)

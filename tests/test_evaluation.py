@@ -1,6 +1,10 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -126,6 +130,55 @@ class TestFTest:
     def test_degenerate_variance(self):
         with pytest.raises(ValueError):
             f_test([1.0, 2.0], [3.0, 3.0])
+
+
+_DEFERRED_SCIPY = """
+import json, sys
+import numpy as np
+import tcdm, tcdm.cli
+from tcdm.synthetic import sphere_cloud
+
+def statistics_modules():
+    return sorted(m for m in sys.modules if m.startswith(("scipy.stats", "scipy.optimize")))
+
+ref = sphere_cloud(600, 2, radius=50.0)
+dist = tcdm.degrade(ref, tcdm.DegradationSpec("geometry_gaussian", 1.0, 3))
+tcdm.score(ref, dist, tcdm.MetricConfig(seeds=8, neighbors=4), threads=1)
+after_score = statistics_modules()
+q = np.linspace(0.0, 1.0, 10)
+mos = 1.0 + 4.0 / (1.0 + np.exp(-6.0 * (q - 0.5))) + 0.1 * np.sin(7.0 * q)
+r = np.sin(np.arange(12.0))
+params, _ = tcdm.fit_logistic5(q, mos)
+print(json.dumps({
+    "after_score": after_score,
+    "srocc": [tcdm.srocc([0.1, 0.35, 0.2, 0.8, 0.55, 0.9, 0.4, 0.65],
+                         [1.2, 1.9, 2.1, 4.4, 3.0, 3.9, 2.5, 4.8]),
+              tcdm.srocc([1, 2, 2, 3], [4, 1, 1, 2])],
+    "f_test": [tcdm.f_test(0.2 * r, r), tcdm.f_test(r, 0.2 * r), tcdm.f_test(0.9 * r, r)],
+    "logistic": [float(b) for b in (params.beta1, params.beta2, params.beta3,
+                                    params.beta4, params.beta5)],
+    "after_statistics": bool(statistics_modules()),
+}))
+"""
+
+
+def test_scoring_never_loads_scipy_statistics():
+    # a fresh interpreter: pytest plugins may have imported SciPy here already
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    run = subprocess.run([sys.executable, "-c", _DEFERRED_SCIPY],
+                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    out = json.loads(run.stdout)
+    assert out["after_score"] == []
+    assert out["after_statistics"]
+    # the values these inputs gave while the statistics imported SciPy up front
+    assert out["srocc"] == [0.8809523809523809, -0.3333333333333333]
+    assert out["f_test"] == [1, 0, 0]
+    assert out["logistic"] == pytest.approx([2.9987348780633365, 5.810130739559764,
+                                             0.5204340564476898, 1.003952152965983,
+                                             2.5553105142303436], rel=1e-9)
 
 
 def _build_manifest(tmp_path, rows):

@@ -122,7 +122,7 @@ class TestGRowsMatchesGather:
         for cfg in TestGRowsMatchesGather.CONFIGS:
             w = color_weights_for(cfg)
             want = g_rows_gather(pred, pred[ids], w)
-            for dtype in (np.int32, np.intp):
+            for dtype in (ids.dtype, np.int32, np.intp):   # the stored width first
                 got = _g_rows(pred, ids.astype(dtype), w)
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want)
@@ -145,7 +145,7 @@ class TestGRowsMatchesGather:
         pred = np.column_stack([rng.uniform(-3, 3, size=(2, 3)),
                                 rng.uniform(0, 255, size=(2, 3))])
         ids = _field_neighbor_ids(pred, 8)
-        assert ids.dtype == np.int32
+        assert ids.dtype == np.min_scalar_type(1) == np.uint8
         assert ids.tolist() == [[1] * 8, [0] * 8]
         self.check(pred, ids)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 import tcdm.metric
 from tcdm.config import MetricConfig, rgb_to_yuv
-from tcdm.features import ReferencePatch
+from tcdm.features import ReferencePatch, patch_features
 from tcdm.metric import prepare_reference, score, score_with_reference
 from tcdm.pointcloud import DegradationSpec, PointCloud, degrade
 from tcdm.synthetic import sphere_cloud
@@ -266,8 +267,9 @@ def _array_bytes(obj) -> int:
 
 
 class TestPreparedLayout:
-    """What a prepared reference keeps per point: int32 field ids (4K),
-    predictions (48), positions (24), colors (24) and cloud rows (8)."""
+    """What a prepared reference keeps per point: field ids at patch width
+    (K times 1 byte under 256 points, 2 under 65,536), predictions (48),
+    positions (24), colors (24) and cloud rows (8)."""
 
     def test_bytes_per_point(self):
         k = 20
@@ -277,9 +279,34 @@ class TestPreparedLayout:
         encoded = [p for p in state.patches if p.encoding is not None]
         assert sum(p.patch.count for p in encoded) == 3000
         for ref in encoded:
-            assert ref.field_ids.dtype == np.int32
-            assert ref.field_ids.shape == (ref.patch.count, k)
-            assert _array_bytes(ref) == ref.patch.count * (4 * k + 104)
+            n = ref.patch.count
+            assert ref.field_ids.dtype == np.min_scalar_type(n - 1)
+            assert ref.field_ids.shape == (n, k)
+            assert _array_bytes(ref) == n * (k * ref.field_ids.itemsize + 104)
+        # patches of 227 to 414 points: both widths occur
+        assert {ref.field_ids.itemsize for ref in encoded} == {1, 2}
+
+
+class TestDistortedPatchLifetime:
+    def test_one_distorted_patch_alive_at_a_time(self, pair, monkeypatch):
+        state = prepare_reference(pair[0], CFG, threads=1)
+        calls, live, peak = [0], [0], [0]
+
+        def released():
+            live[0] -= 1
+
+        def counting(ref, dist, config=None):
+            calls[0] += 1
+            live[0] += 1
+            peak[0] = max(peak[0], live[0])
+            weakref.finalize(dist, released)
+            return patch_features(ref, dist, config)
+
+        monkeypatch.setattr(tcdm.metric, "patch_features", counting)
+        score_with_reference(state, pair[1], threads=1)
+        assert calls[0] == len(state.patches)
+        assert peak[0] == 1
+        assert live[0] == 0
 
 
 class TestPatchPool:

@@ -148,6 +148,19 @@ class TestLoadPly:
         assert np.array_equal(cloud.positions, [[4.0, 5.0, 6.0]])
         assert np.array_equal(cloud.colors, [[1.0, 2.0, 3.0]])
 
+    def test_unknown_type_in_skipped_element_names_file(self, tmp_path):
+        path = tmp_path / "camera_foo.ply"
+        path.write_bytes((
+            "ply\nformat binary_little_endian 1.0\n"
+            "element camera 1\nproperty foo bar\n"
+            "element vertex 0\n"
+            "property float x\nproperty float y\nproperty float z\n"
+            "property uchar red\nproperty uchar green\nproperty uchar blue\n"
+            "end_header\n").encode())
+        with pytest.raises(PlyError, match="unknown property type 'foo' for 'bar'") as err:
+            load_ply(path)
+        assert str(err.value).startswith(f"{path}: ")
+
     def test_crlf_line_endings(self, tmp_path):
         path = tmp_path / "crlf.ply"
         path.write_bytes(SINGLE_POINT_PLY.replace("\n", "\r\n").encode())

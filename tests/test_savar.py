@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tcdm.segmentation import Patch
-from tcdm.savar import (_design_from_plan, _weights_from_distances, build_neighbor_plan,
-                        cross_complexity, fit_savar, self_complexity,
+from tcdm.savar import (NeighborPlan, _design_from_plan, _weights_from_distances,
+                        build_neighbor_plan, cross_complexity, fit_savar, self_complexity,
                         sigmoid_distance_values)
 from tcdm.spatial import build_index
 
@@ -123,6 +123,29 @@ class TestAssembleDesign:
         row0 = np.concatenate([plan.weights[0, j] * patch.positions[plan.indices[0, j]]
                                for j in range(4)])
         assert np.allclose(design[0], row0, atol=1e-15)
+
+    @pytest.mark.parametrize("case", ["random", "duplicates", "two_points"])
+    def test_design_matches_fancy_index_gather_bitwise(self, rng, case):
+        if case == "random":
+            # arbitrary plans, not just the ones kNN produces
+            feats = rng.uniform(-100.0, 100.0, size=(50, 3))
+            plans = [NeighborPlan(rng.integers(0, 50, size=(40, k)), np.zeros((40, k)),
+                                  rng.uniform(0.0, 1.0, size=(40, k))) for k in (1, 7, 20)]
+        else:
+            patch = random_patch(rng, 2 if case == "two_points" else 40)
+            if case == "duplicates":
+                patch = Patch(patch.indices, np.repeat(patch.positions[:10], 4, axis=0),
+                              patch.colors)
+            feats = patch.colors
+            plans = [build_neighbor_plan(patch, patch, k=k, exclude="self",
+                                         scheme="sigmoid_proposed", eta_mode="std")
+                     for k in (1, 7, 20)]
+        for plan in plans:
+            n, k = plan.indices.shape
+            want = (feats[plan.indices] * plan.weights[:, :, None]).reshape(n, 3 * k)
+            got = _design_from_plan(plan, feats)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
     def test_empty_source_rejected(self, rng):
         patch = random_patch(rng, 3)

@@ -378,7 +378,8 @@ class TestIndexOrder:
         pts = np.round(coords(2000, seed=24), 1)
         seeds = pts[:12]
         labels, _ = knn_batch(build_index(seeds), pts, 1)
-        patches = split_patches(pts, np.zeros_like(pts), labels[:, 0], seeds)
+        # cut every patch first: split_patches sorts each one when it is indexed
+        patches = list(split_patches(pts, np.zeros_like(pts), labels[:, 0], seeds))
         monkeypatch.setattr(np, "lexsort", None)   # any sort would raise
         for patch in patches:
             assert np.array_equal(build_index(patch.positions).order, np.arange(patch.count))
