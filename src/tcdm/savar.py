@@ -10,6 +10,12 @@ covariance is the patch's complexity under that prediction regime.
 Geometry and color channels share one neighbor plan (neighbors and weights
 depend only on geometry) but are fit independently, which is algebraically
 identical to the stacked Kronecker formulation of the multivariate model.
+
+Patches are encoded in groups: the neighbor search, the weights and the
+designs run once over a group's rows, one patch after another, and each
+patch is then fit on its own rows. A row's neighbors, weights and design
+row do not depend on the other rows, so an encoding does not depend on how
+patches are grouped.
 """
 
 from __future__ import annotations
@@ -17,12 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.linalg.lapack import dpocon
+from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpocon, dpotrf
 
 from .config import WEIGHT_SCHEMES
-from .segmentation import Patch
-from .spatial import SpatialIndex, build_index, knn_batch
+# knn_batch is unused here; the benchmark's tracer swaps it under this name
+from .spatial import build_index, knn_batch, knn_segments
 
 __all__ = [
     "NeighborPlan",
@@ -41,10 +47,10 @@ _COND_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class NeighborPlan:
-    """Shared per-patch neighbor layout: indices, distances, weights (n, K)."""
+    """Neighbor layout of a group's target rows: indices into the group's
+    source rows, and weights, both (N, K)."""
 
     indices: np.ndarray
-    distances: np.ndarray
     weights: np.ndarray
 
 
@@ -53,9 +59,7 @@ class SAVarFit:
     """Closed-form fit of one channel of one patch."""
 
     predictions: np.ndarray  # (n, d)
-    residuals: np.ndarray    # (n, d), exactly targets - predictions
-    sigma: np.ndarray        # (d, d) residual covariance
-    complexity: float        # det(sigma) clamped at 0
+    complexity: float        # det of the residual covariance, clamped at 0
 
 
 @dataclass(frozen=True)
@@ -116,31 +120,43 @@ def _weights_from_distances(dist: np.ndarray, scheme: str, eta_mode: str) -> np.
     return d / d.sum(axis=1, keepdims=True)
 
 
-def build_neighbor_plan(targets: Patch, source: Patch, k: int, exclude: str,
-                        scheme: str, eta_mode: str,
-                        source_index: SpatialIndex | None = None) -> NeighborPlan:
-    """Neighbor indices, distances and weights for every target point.
+def _rows(patches, attr: str = "positions") -> np.ndarray:
+    """One array of the patches' rows, one patch after another."""
+    return np.concatenate([getattr(p, attr) for p in patches])
+
+
+def _bounds(counts) -> np.ndarray:
+    """Row bounds of consecutive blocks of the given row counts."""
+    return np.concatenate([[0], np.cumsum(counts, dtype=np.intp)])
+
+
+def build_neighbor_plan(targets, sources, k: int, exclude: str, scheme: str,
+                        eta_mode: str) -> NeighborPlan:
+    """Neighbor indices and weights for every row of a group of target
+    patches, each row drawn from the source patch at the same position
+    (``sources`` is ``targets`` for self-prediction).
 
     ``exclude`` is "self" for self-prediction (each target's own row never
     appears) or "nearest" for cross-prediction (the single closest source
     point is dropped, mirroring the self case where the closest point is
-    the target itself). Lists are k wide: ``knn_batch`` repeats the
-    farthest neighbor of a short list, so a one-point source gives k
-    copies of its point.
+    the target itself). Indices count the sources' rows one patch after
+    another. Lists are k wide: the kNN repeats the farthest neighbor of a
+    short list, so a one-point source gives k copies of its point.
     """
-    if source.count < 1:
-        raise ValueError("neighbor source patch is empty")
-    index = source_index if source_index is not None else build_index(source.positions)
-    if exclude == "self":
-        idx, dist = knn_batch(index, targets.positions, k,
-                              exclude=np.arange(targets.count))
-    elif exclude == "nearest":
-        idx, dist = knn_batch(index, targets.positions, k + 1)
-        idx, dist = idx[:, 1:], dist[:, 1:]
-    else:
+    if exclude not in ("self", "nearest"):
         raise ValueError(f"unknown exclusion mode {exclude!r}")
-    weights = _weights_from_distances(dist, scheme, eta_mode)
-    return NeighborPlan(indices=idx, distances=dist, weights=weights)
+    if any(p.count < 1 for p in sources):
+        raise ValueError("neighbor source patch is empty")
+    tpos = _rows(targets)
+    tb = _bounds([p.count for p in targets])
+    if exclude == "self":
+        idx, dist = knn_segments(build_index(tpos, tb), tpos, tb, k,
+                                 exclude=np.arange(len(tpos)))
+    else:
+        index = build_index(_rows(sources), _bounds([p.count for p in sources]))
+        idx, dist = knn_segments(index, tpos, tb, k + 1)
+        idx, dist = idx[:, 1:], dist[:, 1:]
+    return NeighborPlan(indices=idx, weights=_weights_from_distances(dist, scheme, eta_mode))
 
 
 def _design_from_plan(plan: NeighborPlan, source_features: np.ndarray) -> np.ndarray:
@@ -172,14 +188,13 @@ def fit_savar(targets: np.ndarray, design: np.ndarray, ridge: float = 1e-8) -> S
     gram = design.T @ design
     rhs = design.T @ targets
     theta_t = None
-    try:
-        cho = cho_factor(gram, lower=True, check_finite=False)
-        anorm = np.abs(gram).sum(axis=0).max()
-        rcond, info = dpocon(cho[0], anorm, uplo="L")
+    # LAPACK's Cholesky factor as cho_factor computes it, without the
+    # wrapper's per-call cost; info > 0 means G is not positive definite
+    chol, info = dpotrf(gram, lower=1, clean=0)
+    if info == 0:
+        rcond, info = dpocon(chol, np.abs(gram).sum(axis=0).max(), uplo="L")
         if info == 0 and rcond * _COND_LIMIT > 1.0:
-            theta_t = cho_solve(cho, rhs, check_finite=False)
-    except LinAlgError:
-        pass
+            theta_t = cho_solve((chol, True), rhs, check_finite=False)
     if theta_t is None:
         lam = ridge * np.trace(gram) / p
         if lam > 0.0:
@@ -189,52 +204,55 @@ def fit_savar(targets: np.ndarray, design: np.ndarray, ridge: float = 1e-8) -> S
     predictions = design @ theta_t
     residuals = targets - predictions
     sigma = residuals.T @ residuals / n
-    sigma = 0.5 * (sigma + sigma.T)
-    return SAVarFit(
-        predictions=predictions,
-        residuals=residuals,
-        sigma=sigma,
-        complexity=_clamped_det(sigma),
-    )
+    return SAVarFit(predictions=predictions, complexity=_clamped_det(0.5 * (sigma + sigma.T)))
 
 
-def _encode(targets: Patch, source: Patch, k: int, exclude: str, scheme: str,
-            eta_mode: str, ridge: float, source_index: SpatialIndex | None) -> PatchEncoding:
-    plan = build_neighbor_plan(targets, source, k, exclude, scheme, eta_mode,
-                               source_index=source_index)
-    pred6 = np.empty((targets.count, 6))
-    complexities = []
-    for col, (tgt_feat, src_feat) in enumerate(
-            ((targets.positions, source.positions), (targets.colors, source.colors))):
-        fit = fit_savar(tgt_feat, _design_from_plan(plan, src_feat), ridge=ridge)
-        pred6[:, 3 * col:3 * col + 3] = fit.predictions
-        complexities.append(fit.complexity)
-    return PatchEncoding(complexities[0], complexities[1], pred6)
+def _encode(targets, sources, k: int, exclude: str, scheme: str, eta_mode: str,
+            ridge: float) -> list:
+    if not targets:
+        return []
+    plan = build_neighbor_plan(targets, sources, k, exclude, scheme, eta_mode)
+    bounds = _bounds([p.count for p in targets])
+    pred6 = np.empty((bounds[-1], 6))
+    complexities = np.empty((len(targets), 2))
+    for col, attr in enumerate(("positions", "colors")):
+        tgt = _rows(targets, attr)
+        design = _design_from_plan(plan, tgt if sources is targets else _rows(sources, attr))
+        for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            fit = fit_savar(tgt[lo:hi], design[lo:hi], ridge=ridge)
+            pred6[lo:hi, 3 * col:3 * col + 3] = fit.predictions
+            complexities[i, col] = fit.complexity
+    return [PatchEncoding(geometry, color, pred6[lo:hi])
+            for (geometry, color), lo, hi in zip(complexities.tolist(), bounds[:-1], bounds[1:])]
 
 
-def self_complexity(patch: Patch, k: int, scheme: str = "sigmoid_proposed",
-                    eta_mode: str = "std", ridge: float = 1e-8, *,
-                    patch_index: SpatialIndex) -> PatchEncoding:
-    """Encode a patch from its own neighborhoods (each point excluded from
-    its neighbor list), given the patch's index. Requires at least 2 points."""
-    if patch.count < 2:
+def self_complexity(patches, k: int, scheme: str = "sigmoid_proposed",
+                    eta_mode: str = "std", ridge: float = 1e-8) -> list:
+    """Encode each of a group of patches from its own neighborhoods (each
+    point excluded from its neighbor list), in order. Every patch needs at
+    least 2 points."""
+    if any(p.count < 2 for p in patches):
         raise ValueError("self-prediction needs a patch with >= 2 points")
-    return _encode(patch, patch, k, "self", scheme, eta_mode, ridge, patch_index)
+    return _encode(patches, patches, k, "self", scheme, eta_mode, ridge)
 
 
-def cross_complexity(ref_patch: Patch, dist_patch: Patch, k: int,
+def cross_complexity(ref_patches, dist_patches, k: int,
                      scheme: str = "sigmoid_proposed", eta_mode: str = "std",
-                     ridge: float = 1e-8) -> PatchEncoding:
-    """Encode the reference patch from neighborhoods in the distorted patch.
+                     ridge: float = 1e-8) -> list:
+    """Encode each of a group of reference patches from neighborhoods in
+    the distorted patch at the same position, in order.
 
     The closest distorted point is excluded from each neighbor list, the
     cross analogue of self-exclusion: when the distorted patch equals the
     reference the two prediction problems then coincide, so identical
-    clouds get exactly equal complexities. Row i of the result predicts
+    clouds get exactly equal complexities. Row i of an encoding predicts
     the same reference point as row i of the self encoding.
     """
-    if ref_patch.count < 2:
+    if len(ref_patches) != len(dist_patches):
+        raise ValueError(f"{len(ref_patches)} reference patches but "
+                         f"{len(dist_patches)} distorted patches")
+    if any(p.count < 2 for p in ref_patches):
         raise ValueError("cross-prediction needs a reference patch with >= 2 points")
-    if dist_patch.count < 1:
+    if any(p.count < 1 for p in dist_patches):
         raise ValueError("cross-prediction needs a nonempty distorted patch")
-    return _encode(ref_patch, dist_patch, k, "nearest", scheme, eta_mode, ridge, None)
+    return _encode(ref_patches, dist_patches, k, "nearest", scheme, eta_mode, ridge)

@@ -76,7 +76,8 @@ def nearest_seed_labels(positions: np.ndarray, seed_positions: np.ndarray) -> np
 class PatchSplit:
     """One patch per seed, in seed order, its rows in an order (see ``Patch``)
     that does not follow the order of the cloud's points. A sequence: patch
-    ``l`` is cut when it is indexed, so a caller holds only what it keeps."""
+    ``l`` is cut when it is indexed, and a slice of consecutive patches is
+    cut at once, so a caller holds only what it keeps."""
 
     def __init__(self, positions, colors, labels, seed_positions):
         self._positions, self._colors, self._seeds = positions, colors, seed_positions
@@ -87,14 +88,26 @@ class PatchSplit:
     def __len__(self) -> int:
         return len(self.counts)
 
-    def __getitem__(self, l: int) -> Patch:
-        l = range(len(self.counts))[l]
-        members = self._order[self._bounds[l]:self._bounds[l + 1]]
-        rel = self._positions[members] - self._seeds[l]
-        # a stable sort: coincident points keep cloud order
-        rows = np.lexsort((rel[:, 2], rel[:, 1], rel[:, 0]))
-        members = members[rows]
-        return Patch(indices=members, positions=rel[rows], colors=self._colors[members])
+    def __getitem__(self, key):
+        picked = range(len(self.counts))[key]
+        if isinstance(picked, int):
+            return self._cut(picked, picked + 1)[0]
+        if picked.step != 1:
+            raise ValueError("only consecutive patches can be cut together")
+        return self._cut(picked.start, max(picked.start, picked.stop))
+
+    def _cut(self, lo: int, hi: int) -> list:
+        bounds = self._bounds[lo:hi + 1]
+        members = self._order[bounds[0]:bounds[-1]]
+        label = np.repeat(np.arange(lo, hi), self.counts[lo:hi])
+        rel = self._positions[members] - self._seeds[label]
+        # a stable sort: coincident points of a patch keep cloud order
+        rows = np.lexsort((rel[:, 2], rel[:, 1], rel[:, 0], label))
+        members, rel = members[rows], rel[rows]
+        colors = self._colors[members]
+        bounds = (bounds - bounds[0]).tolist()
+        return [Patch(indices=members[a:b], positions=rel[a:b], colors=colors[a:b])
+                for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def split_patches(positions: np.ndarray, colors: np.ndarray, labels: np.ndarray,

@@ -27,14 +27,17 @@ __all__ = [
     "SpatialIndex",
     "build_index",
     "knn_batch",
+    "knn_segments",
     "farthest_point_sampling",
     "random_sampling",
 ]
 
-# Queries run in blocks of this many rows, so the distance blocks a query
-# (or its exhaustive fallback) materializes stay O(_BLOCK * m) floats for
-# an index of m points, whatever the patch size.
-_BLOCK = 1024
+# A query block holds at most this many neighbor slots (rows x candidate
+# width; for an exhaustive scan, rows x segment points), so the distance
+# blocks a query, its widening or its scan materializes stay bounded
+# whatever the patch size. The pipeline cuts its patch groups by the same
+# budget (points x K).
+_SLOTS = 1 << 14
 
 # Relative margin between a kd-tree distance and the exact contract-form
 # distance of the same pair; both are a few roundings off the true value.
@@ -44,11 +47,14 @@ _TREE_MARGIN = 1e-9
 class SpatialIndex:
     """Immutable point index with contract-exact tie ordering.
 
-    ``order`` lists the points by rank; a kd-tree built over them in that
-    order (per query batch, see ``knn_batch``) reports ranks.
+    The points form one set, or consecutive segments searched each on its
+    own: segment s is rows ``bounds[s]:bounds[s + 1]``. ``order`` lists
+    each segment's points by rank in that same range of rows, so a kd-tree
+    built over one segment's ranked points (per query batch, see
+    ``knn_segments``) reports ranks counted from the segment's start.
     """
 
-    def __init__(self, positions: np.ndarray):
+    def __init__(self, positions: np.ndarray, bounds=None):
         positions = np.ascontiguousarray(positions, dtype=np.float64)
         if positions.ndim != 2 or positions.shape[1] != 3:
             raise ValueError(f"positions must be (N, 3), got {positions.shape}")
@@ -56,22 +62,35 @@ class SpatialIndex:
             raise ValueError("cannot index an empty point set")
         if not np.isfinite(positions).all():
             raise ValueError("positions contain non-finite values")
-        self.positions = positions
         n = positions.shape[0]
-        # order: points sorted by (x, y, z, original index); rows already in
-        # that order (as split_patches leaves them) skip the sort
+        bounds = np.array([0, n]) if bounds is None else np.asarray(bounds, dtype=np.intp)
+        if (bounds.ndim != 1 or bounds.size < 2 or bounds[0] != 0 or bounds[-1] != n
+                or (bounds[1:] <= bounds[:-1]).any()):
+            raise ValueError(f"bounds must cut the {n} points into nonempty consecutive "
+                             f"segments, got {bounds}")
+        self.positions = positions
+        self.bounds = bounds
+        # order: each segment's points sorted by (x, y, z, original index);
+        # rows already in that order (as split_patches leaves them) skip the
+        # sort, and a segment's first row need not follow the one before
         a, b = positions[:-1].T, positions[1:].T
         up = (a[0] < b[0]) | ((a[0] == b[0]) & ((a[1] < b[1]) | (a[1] == b[1]) & (a[2] <= b[2])))
-        self.order = np.arange(n) if up.all() else np.lexsort(
-            (np.arange(n), positions[:, 2], positions[:, 1], positions[:, 0]))
+        up[bounds[1:-1] - 1] = True
+        if up.all():
+            self.order = np.arange(n)
+        else:
+            keys = (np.arange(n), positions[:, 2], positions[:, 1], positions[:, 0])
+            if bounds.size > 2:   # the segment decides first
+                keys += (np.repeat(np.arange(bounds.size - 1), np.diff(bounds)),)
+            self.order = np.lexsort(keys)
 
     @property
     def count(self) -> int:
         return self.positions.shape[0]
 
 
-def build_index(positions) -> SpatialIndex:
-    return SpatialIndex(np.asarray(positions, dtype=np.float64))
+def build_index(positions, bounds=None) -> SpatialIndex:
+    return SpatialIndex(np.asarray(positions, dtype=np.float64), bounds)
 
 
 def _sq_dists(pts: np.ndarray, queries: np.ndarray, cand: np.ndarray) -> np.ndarray:
@@ -148,9 +167,131 @@ def _tree_search(pts: np.ndarray, tree: cKDTree, queries: np.ndarray,
     return ranks, dk, dk[:, -1] < bound
 
 
+def _runs(segs: np.ndarray):
+    """(value, start, stop) of each run of equal entries in ``segs``."""
+    if segs.size == 0 or segs[0] == segs[-1]:   # sorted: one run at most
+        return [(int(segs[0]), 0, segs.size)] if segs.size else []
+    cuts = np.flatnonzero(segs[1:] != segs[:-1]) + 1
+    starts = np.concatenate([[0], cuts])
+    stops = np.concatenate([cuts, [segs.size]])
+    return zip(segs[starts].tolist(), starts.tolist(), stops.tolist())
+
+
+class _Trees:
+    """The kd-trees of the segments that one block of query rows asks,
+    queried as one tree: row i asks the tree of segment ``segs[i]`` (built
+    over that segment's ranked points when first asked, and kept in
+    ``built`` for later blocks), and the ranks it reports are shifted to
+    count from the index's first point."""
+
+    def __init__(self, pts: np.ndarray, bounds: np.ndarray, built: dict, segs: np.ndarray):
+        self._pts, self._bounds, self._built, self._segs = pts, bounds, built, segs
+
+    def query(self, x: np.ndarray, k: int):
+        parts = []
+        for s, lo, hi in _runs(self._segs):
+            start = int(self._bounds[s])
+            tree = self._built.get(s)
+            if tree is None:
+                tree = self._built[s] = cKDTree(self._pts[start:self._bounds[s + 1]])
+            tdist, cand = tree.query(x[lo:hi], k=k)
+            cand += start
+            parts.append((tdist, cand))
+        if len(parts) == 1:
+            return parts[0]
+        return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+
+
+def knn_segments(index: SpatialIndex, queries: np.ndarray, query_bounds, k: int,
+                 exclude: np.ndarray | None = None):
+    """``knn_batch`` over an index of segments, all segments at once: query
+    rows ``query_bounds[s]:query_bounds[s + 1]`` are answered from segment
+    s alone, exactly as a ``knn_batch`` call on that segment would.
+
+    Returns (indices, distances) of shape (Q, k). Indices count the
+    index's points from its first row, across segments, and ``exclude``
+    names one such point per row, inside the row's own segment.
+    """
+    queries = np.ascontiguousarray(queries, dtype=np.float64)
+    if queries.ndim != 2 or queries.shape[1] != 3:
+        raise ValueError(f"queries must be (Q, 3), got {queries.shape}")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    n, bounds = queries.shape[0], index.bounds
+    qb = np.asarray(query_bounds, dtype=np.intp)
+    if qb.shape != bounds.shape or qb[0] != 0 or qb[-1] != n or (qb[1:] < qb[:-1]).any():
+        raise ValueError(f"query_bounds must cut the {n} queries into {bounds.size - 1} "
+                         f"consecutive ranges, one per index segment, got {qb}")
+    m = np.diff(bounds)
+    excl = None
+    if exclude is not None:
+        exclude = np.asarray(exclude)
+        if exclude.shape != (n,) or exclude.dtype.kind not in "iu":
+            raise ValueError(f"exclude must be {n} integers, one per query, "
+                             f"got shape {exclude.shape} of {exclude.dtype}")
+        seg = np.repeat(np.arange(m.size), np.diff(qb))
+        lo, hi = bounds[seg], bounds[seg + 1]
+        bad = np.flatnonzero((exclude < lo) | (exclude >= hi))
+        if bad.size:
+            r = bad[0]
+            raise ValueError(f"exclude row {r}: point {exclude[r]} is not in [{lo[r]}, {hi[r]})")
+        if (m < 2).any():
+            raise ValueError("no neighbors left after exclusion")
+        rank = np.empty(index.count, dtype=np.intp)
+        rank[index.order] = np.arange(index.count)
+        excl = rank[exclude]
+    e = int(excl is not None)
+    pts = index.positions[index.order]
+    # kd-trees are built per call, per segment asked, and dropped after:
+    # the pipeline queries each index once, and a prepared reference keeps
+    # no index
+    trees = {}
+    ranks = np.empty((n, k), dtype=np.intp)
+    d2 = np.empty((n, k))
+    # One candidate beyond the k wanted (and the excluded one) is what the
+    # safety test compares against. Unsafe rows are asked again with twice
+    # the candidates (ties on voxel grids mostly clear at the next width),
+    # until every point of their segment is a candidate and the scan is
+    # exhaustive; a segment of no more points than that is scanned at once.
+    # Only the rows left unsafe are listed: the first pass walks every row
+    # block by block.
+    todo, width = None, k + e + 1
+    while todo is None or todo.size:
+        step = max(1, _SLOTS // width)
+        unsafe = [np.empty(0, dtype=np.intp)]
+        for i in range(0, n if todo is None else todo.size, step):
+            rows = np.arange(i, min(i + step, n)) if todo is None else todo[i:i + step]
+            segs = np.searchsorted(qb, rows, side="right") - 1
+            scan = m[segs] <= width
+            if scan.any():
+                # a scanned segment has at most width points, so its rows'
+                # distance block stays within the budget as well
+                scanned = rows[scan]
+                for s, a, b in _runs(segs[scan]):
+                    r = scanned[a:b]
+                    lo, hi = int(bounds[s]), int(bounds[s + 1])
+                    # when fewer points are left, the farthest one repeats
+                    kk = min(k, hi - lo - e)
+                    got, dk = _exact_scan(pts[lo:hi], queries[r],
+                                          None if excl is None else excl[r] - lo, kk)
+                    got += lo
+                    ranks[r, :kk], ranks[r, kk:] = got, got[:, -1:]
+                    d2[r, :kk], d2[r, kk:] = dk, dk[:, -1:]
+                rows, segs = rows[~scan], segs[~scan]
+            if rows.size:
+                got, dk, safe = _tree_search(pts, _Trees(pts, bounds, trees, segs), queries[rows],
+                                             None if excl is None else excl[rows], k, width)
+                ranks[rows[safe]], d2[rows[safe]] = got[safe], dk[safe]
+                unsafe.append(rows[~safe])
+        todo = np.concatenate(unsafe)
+        width *= 2
+    return index.order[ranks], np.sqrt(d2, out=d2)
+
+
 def knn_batch(index: SpatialIndex, queries: np.ndarray, k: int,
               exclude: np.ndarray | None = None):
-    """Vectorized knn for many queries.
+    """Vectorized knn for many queries: the one-segment case of
+    ``knn_segments``.
 
     Returns (indices, distances) of shape (Q, k) in original point
     numbering. When ``exclude`` names an index point per row, that point
@@ -158,55 +299,7 @@ def knn_batch(index: SpatialIndex, queries: np.ndarray, k: int,
     is k wide: when fewer points are left, the farthest one repeats.
     """
     queries = np.ascontiguousarray(queries, dtype=np.float64)
-    if queries.ndim != 2 or queries.shape[1] != 3:
-        raise ValueError(f"queries must be (Q, 3), got {queries.shape}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    m = index.count
-    excl = None
-    if exclude is not None:
-        exclude = np.asarray(exclude)
-        if exclude.shape != (queries.shape[0],) or exclude.dtype.kind not in "iu":
-            raise ValueError(f"exclude must be {queries.shape[0]} integers, one per query, "
-                             f"got shape {exclude.shape} of {exclude.dtype}")
-        bad = np.flatnonzero((exclude < 0) | (exclude >= m))
-        if bad.size:
-            raise ValueError(f"exclude row {bad[0]}: point {exclude[bad[0]]} is not in [0, {m})")
-        if m < 2:
-            raise ValueError("no neighbors left after exclusion")
-        rank = np.empty(m, dtype=np.intp)
-        rank[index.order] = np.arange(m)
-        excl = rank[exclude]
-    kk = min(k, m - (excl is not None))
-    # one candidate beyond the kk wanted (and the excluded one) is what the
-    # safety test compares against
-    w = min(kk + (excl is not None) + 1, m)
-    # Built per call and dropped after: the pipeline queries each index
-    # once, and a prepared reference keeps its patches' indices.
-    pts = index.positions[index.order]
-    tree = cKDTree(pts) if w < m else None
-    n = queries.shape[0]
-    # the kk found fill the leading columns; the rest repeat the last
-    ranks = np.empty((n, k), dtype=np.intp)
-    d2 = np.empty((n, k))
-    for lo in range(0, n, _BLOCK):
-        todo = np.arange(lo, min(lo + _BLOCK, n))
-        width = w
-        # Unsafe rows are asked again with twice the candidates (ties on
-        # voxel grids mostly clear at the next width), until every point
-        # is a candidate and the scan is exhaustive.
-        while todo.size:
-            block_excl = None if excl is None else excl[todo]
-            if width == m:
-                ranks[todo, :kk], d2[todo, :kk] = _exact_scan(pts, queries[todo], block_excl, kk)
-                break
-            r, d, safe = _tree_search(pts, tree, queries[todo], block_excl, kk, width)
-            ranks[todo[safe], :kk], d2[todo[safe], :kk] = r[safe], d[safe]
-            todo = todo[~safe]
-            width = min(2 * width, m)
-    ranks[:, kk:] = ranks[:, kk - 1:kk]
-    d2[:, kk:] = d2[:, kk - 1:kk]
-    return index.order[ranks], np.sqrt(d2)
+    return knn_segments(index, queries, [0, len(queries)], k, exclude)
 
 
 def farthest_point_sampling(positions, count: int) -> np.ndarray:

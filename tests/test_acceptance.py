@@ -88,7 +88,7 @@ def test_criterion_02_least_squares_oracle():
         design = rng.normal(size=(n, 60))
         theta0 = rng.normal(size=(3, 60))
         fit = fit_savar(design @ theta0.T, design, ridge=0.0)
-        resid = float(np.linalg.norm(fit.residuals))
+        resid = float(np.linalg.norm(design @ theta0.T - fit.predictions))
         worst_resid = max(worst_resid, resid)
         assert resid <= 1e-9
     _report(2, f"200 instances, max rel err {worst:.2e}; planted residual max {worst_resid:.2e}")

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from tcdm.config import MetricConfig, color_weights_for
 from tcdm.features import (_field_neighbor_ids, _g_rows, complexity_similarity, patch_features,
                            prediction_similarity)
-from tcdm.metric import encode_reference_patch
+from tcdm.metric import encode_reference_patches
 from tcdm.segmentation import Patch
 
 from oracles import Point, g_difference, g_rows_gather
@@ -21,7 +21,7 @@ def make_pair(rng, n_ref, n_dist, scale=5.0):
                 rng.uniform(0, 255, size=(n_ref, 3)))
     dist = Patch(np.arange(n_dist), rng.uniform(-scale, scale, size=(n_dist, 3)),
                  rng.uniform(0, 255, size=(n_dist, 3)))
-    return encode_reference_patch(ref, MetricConfig()), dist
+    return encode_reference_patches([ref], MetricConfig())[0], dist
 
 
 def g_pair(a: Point, b: Point, color_weights) -> float:
@@ -139,12 +139,12 @@ class TestGRowsMatchesGather:
         pred = np.round(np.column_stack([rng.uniform(-3, 3, size=(60, 3)),
                                          rng.uniform(0, 255, size=(60, 3))]))
         pred = np.concatenate([pred, pred[:20]])
-        self.check(pred, _field_neighbor_ids(pred, 9))
+        self.check(pred, _field_neighbor_ids([pred], 9)[0])
 
     def test_two_point_patch_padded_ids(self, rng):
         pred = np.column_stack([rng.uniform(-3, 3, size=(2, 3)),
                                 rng.uniform(0, 255, size=(2, 3))])
-        ids = _field_neighbor_ids(pred, 8)
+        ids = _field_neighbor_ids([pred], 8)[0]
         assert ids.dtype == np.min_scalar_type(1) == np.uint8
         assert ids.tolist() == [[1] * 8, [0] * 8]
         self.check(pred, ids)
@@ -157,7 +157,7 @@ class TestDifferenceFields:
     def test_identical_predictions_equal_fields(self, rng):
         positions = rng.uniform(-3, 3, size=(30, 3))
         x_hat = np.column_stack([positions, rng.uniform(0, 255, size=(30, 3))])
-        ids = _field_neighbor_ids(x_hat, 5)
+        ids = _field_neighbor_ids([x_hat], 5)[0]
         y_hat = x_hat.copy()
         assert np.array_equal(_g_rows(x_hat, ids, RGB_W), _g_rows(y_hat, ids, RGB_W))
 
@@ -165,7 +165,7 @@ class TestDifferenceFields:
         x_hat = np.array([[0.0, 0, 0, 9, 9, 9],
                           [1.0, 0, 0, 9, 9, 9],
                           [3.0, 0, 0, 9, 9, 9]])
-        ids = _field_neighbor_ids(x_hat, 2)
+        ids = _field_neighbor_ids([x_hat], 2)[0]
         fx = _g_rows(x_hat, ids, RGB_W)
         # neighbor lists: point0 -> (1, 3), point1 -> (0, 3), point2 -> (1, 0)
         want = np.array([[1.0, 3.0], [1.0, 2.0], [2.0, 3.0]])
@@ -176,10 +176,10 @@ class TestDifferenceFields:
         x_hat = np.column_stack([positions, rng.uniform(0, 255, size=(20, 3))])
         y_hat = np.column_stack([rng.uniform(-3, 3, size=(20, 3)),
                                  rng.uniform(0, 255, size=(20, 3))])
-        ids1 = _field_neighbor_ids(x_hat, 4)
+        ids1 = _field_neighbor_ids([x_hat], 4)[0]
         fx1, fy1 = _g_rows(x_hat, ids1, RGB_W), _g_rows(y_hat, ids1, RGB_W)
         perm = rng.permutation(20)
-        ids2 = _field_neighbor_ids(x_hat, 4)
+        ids2 = _field_neighbor_ids([x_hat], 4)[0]
         y_perm = y_hat[perm]
         fx2, fy2 = _g_rows(x_hat, ids2, RGB_W), _g_rows(y_perm, ids2, RGB_W)
         assert np.array_equal(fx1, fx2)
@@ -188,7 +188,7 @@ class TestDifferenceFields:
     def test_short_patch_padding(self, rng):
         positions = rng.uniform(-3, 3, size=(3, 3))
         x_hat = np.column_stack([positions, rng.uniform(0, 255, size=(3, 3))])
-        ids = _field_neighbor_ids(x_hat, 6)
+        ids = _field_neighbor_ids([x_hat], 6)[0]
         fx = _g_rows(x_hat, ids, RGB_W)
         assert fx.shape == (3, 6)
         assert np.array_equal(fx[:, 2:], np.repeat(fx[:, 1:2], 4, axis=1))
@@ -220,12 +220,12 @@ class TestPredictionSimilarity:
 class TestPatchFeatures:
     def test_degenerate_reference_is_skipped(self, rng):
         ref, dist = make_pair(rng, 1, 10)
-        out = patch_features(ref, dist, MetricConfig())
+        (out,) = patch_features([ref], [dist], MetricConfig())
         assert out.skipped
 
     def test_empty_distorted_patch_rule(self, rng):
         ref, dist = make_pair(rng, 30, 0)
-        out = patch_features(ref, dist, MetricConfig())
+        (out,) = patch_features([ref], [dist], MetricConfig())
         assert not out.skipped
         assert (out.f1_geometry, out.f1_color, out.f2) == (0.0, 0.0, 0.0)
 
@@ -235,14 +235,14 @@ class TestPatchFeatures:
             n = int(rng.integers(10, 60))
             ref = Patch(np.arange(n), rng.uniform(-3, 3, size=(n, 3)),
                         rng.uniform(0, 255, size=(n, 3)))
-            out = patch_features(encode_reference_patch(ref, cfg), ref, cfg)
+            (out,) = patch_features(encode_reference_patches([ref], cfg), [ref], cfg)
             assert out.f1_geometry == 1.0
             assert out.f1_color == 1.0
             assert out.f2 >= 0.99
 
     def test_random_pair_features_finite(self, rng):
         ref, dist = make_pair(rng, 200, 180)
-        out = patch_features(ref, dist, MetricConfig())
+        (out,) = patch_features([ref], [dist], MetricConfig())
         for value in (out.f1_geometry, out.f1_color, out.f2):
             assert np.isfinite(value)
         assert 0.0 <= out.f1_geometry <= 1.0

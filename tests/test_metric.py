@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import tcdm.metric
+import tcdm.spatial
 from tcdm.config import MetricConfig, rgb_to_yuv
 from tcdm.features import ReferencePatch, patch_features
 from tcdm.metric import prepare_reference, score, score_with_reference
@@ -287,26 +288,117 @@ class TestPreparedLayout:
         assert {ref.field_ids.itemsize for ref in encoded} == {1, 2}
 
 
+def _small_patches():
+    # about 7 points per patch at K=10: many are scanned exhaustively
+    ref = sphere_cloud(500, 3, radius=10.0)
+    return ref, degrade(ref, DegradationSpec("geometry_gaussian", 0.3, 4)), \
+        MetricConfig(seeds=70, neighbors=10)
+
+
+def _empty_cells():
+    ref = sphere_cloud(900, 11, radius=10.0)
+    noisy = degrade(ref, DegradationSpec("geometry_gaussian", 0.15, 3))
+    keep = noisy.positions[:, 2] < 3.0
+    return ref, PointCloud(noisy.positions[keep], noisy.colors[keep]), \
+        MetricConfig(seeds=12, neighbors=8)
+
+
+def _voxel_grid():
+    # integer positions: neighbor distances tie, and tied rows widen
+    base = sphere_cloud(800, 7, radius=10.0)
+    rng = np.random.default_rng(8)
+    moved = np.round(base.positions + rng.normal(0.0, 0.7, size=base.positions.shape))
+    return (PointCloud(np.round(base.positions), base.colors),
+            PointCloud(moved, base.colors), MetricConfig(seeds=10, neighbors=10))
+
+
+def _report_key(report):
+    """Every score, mean, count and per-patch triple of a report, exactly."""
+    return (report.q, report.f1, report.f2, report.f1_geometry_mean, report.f1_color_mean,
+            report.counts, [(p.f1_geometry, p.f1_color, p.f2, p.diagnostics, p.skipped)
+                            for p in report.per_patch])
+
+
+class TestGroups:
+    """A score does not depend on how patches are grouped, on the query
+    blocks of the neighbor search, or on the thread count."""
+
+    # (patch group budget, kNN block budget, threads); None keeps the default
+    RUNS = [(0, None, 1), (None, None, 1), (1 << 40, None, 1), (300, 40, 1),
+            (0, None, 2), (300, None, 2)]
+
+    @pytest.mark.parametrize("make", [_small_patches, _empty_cells, _voxel_grid])
+    def test_bit_identical_across_groupings(self, make, monkeypatch):
+        ref, dist, cfg = make()
+        monkeypatch.setattr(tcdm.metric, "_POOL_MIN_SLOTS", 0)
+        widened = [0]
+        tree_search = tcdm.spatial._tree_search
+
+        def counting_tree_search(pts, tree, queries, excl, kk, w):
+            if w > kk + (excl is not None) + 1:
+                widened[0] += queries.shape[0]
+            return tree_search(pts, tree, queries, excl, kk, w)
+
+        monkeypatch.setattr(tcdm.spatial, "_tree_search", counting_tree_search)
+        state = prepare_reference(ref, cfg, threads=1)
+        counts = [r.patch.count for r in state.patches]
+        # the default budget holds the whole pair in one group
+        assert len(tcdm.metric._groups(counts, cfg.neighbors)) == 1
+        baseline = score_with_reference(state, dist, threads=1)
+        if make is _small_patches:
+            assert any(2 <= n <= cfg.neighbors for n in counts)
+        elif make is _empty_cells:
+            assert baseline.counts.empty > 0
+        else:
+            assert widened[0] > 0
+        want = _report_key(baseline)
+        for groups, blocks, threads in self.RUNS:
+            with monkeypatch.context() as m:
+                if groups is not None:
+                    m.setattr(tcdm.metric, "_SLOTS", groups)
+                if blocks is not None:
+                    m.setattr(tcdm.spatial, "_SLOTS", blocks)
+                got = _report_key(score(ref, dist, cfg, threads=threads))
+            assert got == want, (groups, blocks, threads)
+
+
 class TestDistortedPatchLifetime:
-    def test_one_distorted_patch_alive_at_a_time(self, pair, monkeypatch):
-        state = prepare_reference(pair[0], CFG, threads=1)
+    """A score holds the distorted patches of one group at a time."""
+
+    @staticmethod
+    def live_patches(state, dist, monkeypatch):
+        """(calls, peak live distorted patches, live at the end) of a score."""
         calls, live, peak = [0], [0], [0]
 
         def released():
             live[0] -= 1
 
-        def counting(ref, dist, config=None):
-            calls[0] += 1
-            live[0] += 1
+        def counting(refs, dists, config=None):
+            for patch in dists:
+                calls[0] += 1
+                live[0] += 1
+                weakref.finalize(patch, released)
             peak[0] = max(peak[0], live[0])
-            weakref.finalize(dist, released)
-            return patch_features(ref, dist, config)
+            return patch_features(refs, dists, config)
 
         monkeypatch.setattr(tcdm.metric, "patch_features", counting)
-        score_with_reference(state, pair[1], threads=1)
-        assert calls[0] == len(state.patches)
-        assert peak[0] == 1
-        assert live[0] == 0
+        score_with_reference(state, dist, threads=1)
+        return calls[0], peak[0], live[0]
+
+    def test_one_distorted_patch_alive_at_a_time(self, pair, monkeypatch):
+        # a budget of no slots makes every patch a group of its own
+        monkeypatch.setattr(tcdm.metric, "_SLOTS", 0)
+        state = prepare_reference(pair[0], CFG, threads=1)
+        assert self.live_patches(state, pair[1], monkeypatch) == (len(state.patches), 1, 0)
+
+    def test_one_group_alive_at_a_time(self, pair, monkeypatch):
+        # patches of about 4,800 slots: groups of several patches
+        monkeypatch.setattr(tcdm.metric, "_SLOTS", 20_000)
+        state = prepare_reference(pair[0], CFG, threads=1)
+        groups = tcdm.metric._groups([r.patch.count for r in state.patches], CFG.neighbors)
+        largest = max(g.stop - g.start for g in groups)
+        assert len(groups) > 1 and largest > 1
+        assert self.live_patches(state, pair[1], monkeypatch) == (len(state.patches), largest, 0)
 
 
 class TestPatchPool:

@@ -9,7 +9,7 @@ from tcdm.segmentation import Patch
 from tcdm.savar import (NeighborPlan, _design_from_plan, _weights_from_distances,
                         build_neighbor_plan, cross_complexity, fit_savar, self_complexity,
                         sigmoid_distance_values)
-from tcdm.spatial import build_index
+from tcdm.spatial import build_index, knn_batch
 
 from oracles import det3_oracle, kron_solve, pinv_predictions
 
@@ -78,20 +78,22 @@ class TestAssembleDesign:
     def test_two_point_self_prediction(self):
         patch = Patch(np.arange(2), np.array([[0.0, 0, 0], [1.0, 0, 0]]),
                       np.array([[10.0, 20, 30], [40.0, 50, 60]]))
-        plan = build_neighbor_plan(patch, patch, k=1, exclude="self",
+        plan = build_neighbor_plan([patch], [patch], k=1, exclude="self",
                                    scheme="sigmoid_proposed", eta_mode="std")
         # sole neighbor carries weight 1: the other point's color verbatim
         assert np.array_equal(_design_from_plan(plan, patch.colors), patch.colors[::-1])
 
     def test_padding_repeats_farthest(self, rng):
         patch = random_patch(rng, 5)
-        plan = build_neighbor_plan(patch, patch, k=20, exclude="self",
+        plan = build_neighbor_plan([patch], [patch], k=20, exclude="self",
                                    scheme="sigmoid_proposed", eta_mode="std")
         assert plan.indices.shape == (5, 20)
+        _, dist = knn_batch(build_index(patch.positions), patch.positions, 20,
+                            exclude=np.arange(5))
         # columns 4..19 repeat column 3 (the farthest of the 4 usable neighbors)
         for col in range(4, 20):
             assert np.array_equal(plan.indices[:, col], plan.indices[:, 3])
-            assert np.array_equal(plan.distances[:, col], plan.distances[:, 3])
+            assert np.array_equal(dist[:, col], dist[:, 3])
 
     def test_lone_cross_source_repeats(self, rng):
         # "nearest" cannot drop the only point: every list is k copies of it
@@ -99,11 +101,13 @@ class TestAssembleDesign:
         dist = random_patch(rng, 1)
         want = np.sqrt(((ref.positions - dist.positions[0]) ** 2).sum(axis=1))
         for k in (1, 2, 7, 20):
-            plan = build_neighbor_plan(ref, dist, k=k, exclude="nearest",
+            plan = build_neighbor_plan([ref], [dist], k=k, exclude="nearest",
                                        scheme="sigmoid_proposed", eta_mode="std")
-            assert plan.indices.shape == plan.distances.shape == (6, k)
+            # the plan's distances: the k + 1 nearest, the nearest dropped
+            _, dists = knn_batch(build_index(dist.positions), ref.positions, k + 1)
+            assert plan.indices.shape == dists[:, 1:].shape == (6, k)
             assert np.all(plan.indices == 0)
-            assert np.array_equal(plan.distances, np.repeat(want[:, None], k, axis=1))
+            assert np.array_equal(dists[:, 1:], np.repeat(want[:, None], k, axis=1))
             # all-equal distances give a flat spread, so weights are uniform
             assert np.allclose(plan.weights, 1.0 / k)
 
@@ -111,12 +115,12 @@ class TestAssembleDesign:
     def test_unknown_exclusion_rejected(self, rng, exclude):
         patch = random_patch(rng, 5)
         with pytest.raises(ValueError, match="unknown exclusion mode"):
-            build_neighbor_plan(patch, patch, k=2, exclude=exclude,
+            build_neighbor_plan([patch], [patch], k=2, exclude=exclude,
                                 scheme="sigmoid_proposed", eta_mode="std")
 
     def test_design_shape_and_weighting(self, rng):
         patch = random_patch(rng, 30)
-        plan = build_neighbor_plan(patch, patch, k=4, exclude="self",
+        plan = build_neighbor_plan([patch], [patch], k=4, exclude="self",
                                    scheme="sigmoid_proposed", eta_mode="std")
         design = _design_from_plan(plan, patch.positions)
         assert design.shape == (30, 12)
@@ -129,7 +133,7 @@ class TestAssembleDesign:
         if case == "random":
             # arbitrary plans, not just the ones kNN produces
             feats = rng.uniform(-100.0, 100.0, size=(50, 3))
-            plans = [NeighborPlan(rng.integers(0, 50, size=(40, k)), np.zeros((40, k)),
+            plans = [NeighborPlan(rng.integers(0, 50, size=(40, k)),
                                   rng.uniform(0.0, 1.0, size=(40, k))) for k in (1, 7, 20)]
         else:
             patch = random_patch(rng, 2 if case == "two_points" else 40)
@@ -137,7 +141,7 @@ class TestAssembleDesign:
                 patch = Patch(patch.indices, np.repeat(patch.positions[:10], 4, axis=0),
                               patch.colors)
             feats = patch.colors
-            plans = [build_neighbor_plan(patch, patch, k=k, exclude="self",
+            plans = [build_neighbor_plan([patch], [patch], k=k, exclude="self",
                                          scheme="sigmoid_proposed", eta_mode="std")
                      for k in (1, 7, 20)]
         for plan in plans:
@@ -151,7 +155,7 @@ class TestAssembleDesign:
         patch = random_patch(rng, 3)
         empty = Patch(np.arange(0), np.zeros((0, 3)), np.zeros((0, 3)))
         with pytest.raises(ValueError):
-            build_neighbor_plan(patch, empty, k=2, exclude="nearest",
+            build_neighbor_plan([patch], [empty], k=2, exclude="nearest",
                                 scheme="sigmoid_proposed", eta_mode="std")
 
 
@@ -161,7 +165,7 @@ class TestFitSavar:
         theta0 = rng.normal(size=(3, 60))
         targets = design @ theta0.T
         fit = fit_savar(targets, design, ridge=0.0)
-        assert np.linalg.norm(fit.residuals) <= 1e-9
+        assert np.linalg.norm(targets - fit.predictions) <= 1e-9
         assert fit.complexity <= 1e-27
 
     def test_pinv_oracle(self, rng):
@@ -193,13 +197,11 @@ class TestFitSavar:
         design = rng.normal(size=(80, 15))
         targets = rng.normal(size=(80, 3))
         fit = fit_savar(targets, design)
-        assert np.array_equal(fit.residuals, targets - fit.predictions)
-        assert np.abs(fit.predictions + fit.residuals - targets).max() < 1e-12
-        want_sigma = fit.residuals.T @ fit.residuals / 80
-        assert np.abs(fit.sigma - want_sigma).max() < 1e-12
-        assert np.abs(fit.sigma - fit.sigma.T).max() < 1e-12
-        assert np.linalg.eigvalsh(fit.sigma).min() >= -1e-10
-        assert abs(fit.complexity - max(det3_oracle(fit.sigma), 0.0)) <= 1e-12 * max(
+        # the complexity is det of the residual covariance, from the predictions
+        residuals = targets - fit.predictions
+        sigma = residuals.T @ residuals / 80
+        assert np.linalg.eigvalsh(sigma).min() >= -1e-10
+        assert abs(fit.complexity - max(det3_oracle(sigma), 0.0)) <= 1e-12 * max(
             1.0, abs(fit.complexity))
 
     def test_singular_design_with_ridge(self):
@@ -228,7 +230,7 @@ class TestComplexities:
     def test_constant_color_zero_color_complexity(self, rng):
         patch = Patch(np.arange(50), rng.uniform(-1, 1, size=(50, 3)),
                       np.full((50, 3), 77.0))
-        enc = self_complexity(patch, k=6, patch_index=build_index(patch.positions))
+        enc = self_complexity([patch], k=6)[0]
         assert enc.complexity_color <= 1e-12
 
     def test_plane_with_color_ramp(self, rng):
@@ -238,8 +240,7 @@ class TestComplexities:
         e2 = np.array([-0.1, 1.0, 0.4])
         positions = np.array([0.5, -0.2, 0.7]) + uv[:, :1] * e1 + uv[:, 1:] * e2
         colors = np.clip(100 + 30 * uv[:, :1] + 20 * uv[:, 1:] + np.zeros((n, 3)), 0, 255)
-        enc = self_complexity(Patch(np.arange(n), positions, colors), k=8,
-                              patch_index=build_index(positions))
+        enc = self_complexity([Patch(np.arange(n), positions, colors)], k=8)[0]
         assert enc.complexity_geometry <= 1e-12
         assert enc.complexity_color <= 1e-12
 
@@ -248,7 +249,7 @@ class TestComplexities:
     def test_complexity_nonnegative(self, seed):
         rng = np.random.default_rng(seed)
         patch = random_patch(rng, int(rng.integers(2, 40)))
-        enc = self_complexity(patch, k=5, patch_index=build_index(patch.positions))
+        enc = self_complexity([patch], k=5)[0]
         assert enc.complexity_geometry >= 0.0
         assert enc.complexity_color >= 0.0
 
@@ -257,9 +258,8 @@ class TestComplexities:
         # case, so identical patches give identical prediction problems
         for _ in range(20):
             patch = random_patch(rng, int(rng.integers(10, 80)))
-            index = build_index(patch.positions)
-            s = self_complexity(patch, k=10, patch_index=index)
-            c = cross_complexity(patch, patch, k=10)
+            s = self_complexity([patch], k=10)[0]
+            c = cross_complexity([patch], [patch], k=10)[0]
             assert c.complexity_geometry == s.complexity_geometry
             assert c.complexity_color == s.complexity_color
             assert np.array_equal(c.predictions, s.predictions)
@@ -276,7 +276,7 @@ class TestComplexities:
                               patch.positions + noise_rng.normal(0, frac * diameter,
                                                                  size=patch.positions.shape),
                               patch.colors)
-                enc = cross_complexity(patch, noisy, k=10)
+                enc = cross_complexity([patch], [noisy], k=10)[0]
                 vals.append(enc.complexity_geometry)
             means.append(np.mean(vals))
         assert means[0] <= means[1] <= means[2]
@@ -285,7 +285,7 @@ class TestComplexities:
         ref = random_patch(rng, 20)
         lone = Patch(np.arange(1), rng.uniform(-1, 1, size=(1, 3)),
                      rng.uniform(0, 255, size=(1, 3)))
-        enc = cross_complexity(ref, lone, k=20)
+        enc = cross_complexity([ref], [lone], k=20)[0]
         assert np.isfinite(enc.predictions).all()
 
     def test_geometry_complexity_scales_sixth_power(self, rng):
@@ -293,18 +293,18 @@ class TestComplexities:
         dist = Patch(ref.indices,
                      ref.positions + rng.normal(0, 0.1, size=ref.positions.shape),
                      ref.colors)
-        base = cross_complexity(ref, dist, k=8).complexity_geometry
+        base = cross_complexity([ref], [dist], k=8)[0].complexity_geometry
         for s in (2.0, 10.0):
             scaled_ref = Patch(ref.indices, ref.positions * s, ref.colors)
             scaled_dist = Patch(dist.indices, dist.positions * s, dist.colors)
-            got = cross_complexity(scaled_ref, scaled_dist, k=8).complexity_geometry
+            got = cross_complexity([scaled_ref], [scaled_dist], k=8)[0].complexity_geometry
             assert abs(got - base * s ** 6) <= 1e-6 * abs(base * s ** 6)
 
     def test_degenerate_patches_rejected(self, rng):
         lone = random_patch(rng, 1)
         with pytest.raises(ValueError):
-            self_complexity(lone, k=3, patch_index=build_index(lone.positions))
+            self_complexity([lone], k=3)
         empty = Patch(np.arange(0), np.zeros((0, 3)), np.zeros((0, 3)))
         ref = random_patch(rng, 10)
         with pytest.raises(ValueError):
-            cross_complexity(ref, empty, k=3)
+            cross_complexity([ref], [empty], k=3)

@@ -4,7 +4,6 @@ import pytest
 from tcdm.pointcloud import PointCloud
 from tcdm.savar import self_complexity
 from tcdm.segmentation import nearest_seed_labels, select_seeds, split_patches
-from tcdm.spatial import build_index
 
 from conftest import random_cloud
 from oracles import nearest_seed_oracle
@@ -217,8 +216,8 @@ class TestBuildPatchPairs:
             assert np.array_equal(ra.positions, rb.positions)
             assert np.array_equal(ra.colors, rb.colors)
             assert np.array_equal(perm[rb.indices], ra.indices)
-            enc = self_complexity(ra, k=8, patch_index=build_index(ra.positions))
-            enc_p = self_complexity(rb, k=8, patch_index=build_index(rb.positions))
+            enc = self_complexity([ra], k=8)[0]
+            enc_p = self_complexity([rb], k=8)[0]
             assert enc_p.complexity_geometry == enc.complexity_geometry
             assert enc_p.complexity_color == enc.complexity_color
             assert np.array_equal(enc_p.predictions, enc.predictions)

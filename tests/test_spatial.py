@@ -6,7 +6,8 @@ from scipy.spatial import cKDTree
 
 from tcdm import spatial
 from tcdm.segmentation import split_patches
-from tcdm.spatial import build_index, farthest_point_sampling, knn_batch, random_sampling
+from tcdm.spatial import (build_index, farthest_point_sampling, knn_batch, knn_segments,
+                          random_sampling)
 
 from oracles import fps_oracle, knn_oracle
 
@@ -289,6 +290,102 @@ class TestSortFreeRerank:
                 want = knn_oracle(pts, pts[r], k, exclude=r if self_excluded else None)
                 assert np.array_equal(idx[r], want[0]), (k, r)
                 assert np.array_equal(dist[r], want[1]), (k, r)
+
+
+def grid_with_duplicates(size, offset=0.0):
+    g = np.arange(size, dtype=np.float64)
+    grid = np.array(np.meshgrid(g, g, g)).reshape(3, -1).T + offset
+    return np.concatenate([grid, grid[::5]])
+
+
+class TestSlotBudget:
+    """Query blocks of at most _SLOTS neighbor slots answer as one block."""
+
+    @pytest.fixture
+    def widened(self, monkeypatch):
+        seen = {"rows": 0}
+        tree_search = spatial._tree_search
+
+        def counting_tree_search(pts, tree, queries, excl, kk, w):
+            if w > kk + (excl is not None) + 1:
+                seen["rows"] += queries.shape[0]
+            return tree_search(pts, tree, queries, excl, kk, w)
+
+        monkeypatch.setattr(spatial, "_tree_search", counting_tree_search)
+        return seen
+
+    # 40 slots: 20 rows a block at k=1, 5 at the first width of k=6 with
+    # exclusion, fewer once widened; the default holds each query whole
+    @pytest.mark.parametrize("slots", [40, spatial._SLOTS])
+    def test_k1_and_widened_rows_match_oracle(self, monkeypatch, widened, slots):
+        monkeypatch.setattr(spatial, "_SLOTS", slots)
+        seeds = coords(60, seed=31)
+        queries = np.concatenate([coords(300, seed=32), seeds[::3]])
+        idx, dist = knn_batch(build_index(seeds), queries, 1)
+        for r, q in enumerate(queries):
+            want = knn_oracle(seeds, q, 1)
+            assert np.array_equal(idx[r], want[0]) and np.array_equal(dist[r], want[1]), r
+        pts = grid_with_duplicates(4)
+        idx, dist = knn_batch(build_index(pts), pts, 6, exclude=np.arange(len(pts)))
+        for r, q in enumerate(pts):
+            want = knn_oracle(pts, q, 6, exclude=r)
+            assert np.array_equal(idx[r], want[0]) and np.array_equal(dist[r], want[1]), r
+        assert widened["rows"] > 0
+
+
+class TestSegments:
+    """One knn_segments call answers each segment as knn_batch would."""
+
+    @staticmethod
+    def segments():
+        rng = np.random.default_rng(41)
+        return [coords(200, seed=42),                  # tie-free, tree rows
+                grid_with_duplicates(3, offset=50.0),  # ties: widened rows
+                rng.uniform(-1, 1, size=(4, 3)),       # at most k: scanned
+                np.array([[7.0, 7.0, 7.0], [7.0, 7.0, 7.0]]),
+                coords(1, seed=43)]                    # one point
+
+    @pytest.mark.parametrize("self_excluded", [False, True])
+    @pytest.mark.parametrize("slots", [40, spatial._SLOTS])
+    def test_each_segment_as_its_own_call(self, monkeypatch, self_excluded, slots):
+        monkeypatch.setattr(spatial, "_SLOTS", slots)
+        parts = self.segments()[:-1] if self_excluded else self.segments()
+        if self_excluded:
+            queries = parts
+        else:
+            queries = [np.concatenate([p, p[::3] + 0.5]) for p in parts]
+        bounds = np.cumsum([0] + [len(p) for p in parts])
+        qbounds = np.cumsum([0] + [len(q) for q in queries])
+        index = build_index(np.concatenate(parts), bounds)
+        for k in (1, 6):
+            exclude = np.arange(bounds[-1]) if self_excluded else None
+            idx, dist = knn_segments(index, np.concatenate(queries), qbounds, k, exclude)
+            for s, (p, q) in enumerate(zip(parts, queries)):
+                rows = slice(qbounds[s], qbounds[s + 1])
+                one = knn_batch(build_index(p), q, k,
+                                exclude=np.arange(len(p)) if self_excluded else None)
+                assert np.array_equal(idx[rows] - bounds[s], one[0]), (s, k)
+                assert np.array_equal(dist[rows], one[1]), (s, k)
+                for r in range(len(q)):
+                    want = padded(knn_oracle(p, q[r], k, exclude=r if self_excluded else None), k)
+                    assert np.array_equal(one[0][r], want[0]) and np.array_equal(one[1][r], want[1])
+
+    def test_bad_bounds_rejected(self):
+        pts = coords(10, seed=44)
+        with pytest.raises(ValueError, match="nonempty consecutive segments"):
+            build_index(pts, [0, 4, 4, 10])
+        with pytest.raises(ValueError, match="nonempty consecutive segments"):
+            build_index(pts, [0, 4, 9])
+        index = build_index(pts, [0, 4, 10])
+        with pytest.raises(ValueError, match="one per index segment"):
+            knn_segments(index, pts, [0, 10], 2)
+        with pytest.raises(ValueError, match="one per index segment"):
+            knn_batch(index, pts, 2)
+        # a row may exclude only a point of its own segment
+        exclude = np.arange(10)
+        exclude[5] = 2
+        with pytest.raises(ValueError, match=r"exclude row 5: point 2 is not in \[4, 10\)"):
+            knn_segments(index, pts, [0, 4, 10], 2, exclude)
 
 
 class TestFpsMatchesOracle:
