@@ -56,8 +56,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                         default=d.color_weight_mode,
                         help="color difference channel weights (default %(default)s)")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads: score's patches, batch's rows and reference "
-                             "prepare (default: TCDM_THREADS or machine parallelism)")
+                        help="worker threads for the patch groups of each prepare and "
+                             "score (default: TCDM_THREADS or machine parallelism)")
 
 
 def _config_from(args) -> MetricConfig:

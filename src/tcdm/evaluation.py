@@ -16,7 +16,6 @@ import json
 import logging
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,7 +218,10 @@ def run_benchmark(manifest_path, config: MetricConfig | None = None,
         try:
             with open(cache_path) as fh:
                 cache = json.load(fh)
-        except (OSError, json.JSONDecodeError):
+            if not isinstance(cache, dict) or any(type(q) not in (int, float)
+                                                  for q in cache.values()):
+                raise ValueError("not a JSON object of numbers")
+        except (OSError, ValueError):
             log.warning("ignoring unreadable score cache %s", cache_path)
             cache = {}
     cfg_digest = _config_digest(config)
@@ -281,25 +283,23 @@ def run_benchmark(manifest_path, config: MetricConfig | None = None,
 
 def _score_rows(ref_path, rows, base, config: MetricConfig, n_workers: int) -> list:
     """q of each row against the reference at ``ref_path``, None where a
-    file cannot be scored. The prepared state lives only for this call."""
+    file cannot be scored. Rows score one at a time, each on ``n_workers``
+    patch-group workers; the prepared state lives only for this call."""
     try:
         state = prepare_reference(load_ply(ref_path), config, threads=n_workers)
     except (OSError, ValueError) as exc:
         log.warning("cannot prepare reference %s: %s", rows[0][0], exc)
         return [None] * len(rows)
 
-    def score_row(row):
+    qs = []
+    for row in rows:
         try:
-            return score_with_reference(state, load_ply(os.path.join(base, row[1])),
-                                        threads=1).q
+            qs.append(score_with_reference(state, load_ply(os.path.join(base, row[1])),
+                                           threads=n_workers).q)
         except (OSError, ValueError) as exc:
             log.warning("skipping pair (%s, %s): %s", row[0], row[1], exc)
-            return None
-
-    if n_workers > 1 and len(rows) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            return list(pool.map(score_row, rows))
-    return [score_row(row) for row in rows]
+            qs.append(None)
+    return qs
 
 
 def _replace_json(path, obj) -> None:

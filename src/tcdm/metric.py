@@ -167,11 +167,10 @@ def _map_groups(fn, counts, config: MetricConfig, threads: int | None, stage: st
     group and the patches' mean neighbor slots reach _POOL_MIN_SLOTS."""
     sized = [n for n in counts if n >= 2]
     slots = config.neighbors * sum(sized) / max(1, len(sized))
-    workers = resolve_threads(threads)
-    workers = workers if slots >= _POOL_MIN_SLOTS else 1
-    log.debug("%s: %d worker(s), %.0f neighbor slots per patch", stage, workers, slots)
     groups = _groups(counts, config.neighbors)
-    if workers > 1 and len(groups) > 1:
+    workers = min(resolve_threads(threads), len(groups) if slots >= _POOL_MIN_SLOTS else 1)
+    log.debug("%s: %d worker(s), %.0f neighbor slots per patch", stage, workers, slots)
+    if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return [out for part in pool.map(fn, groups) for out in part]
     return [out for g in groups for out in fn(g)]

@@ -137,7 +137,8 @@ def _parse_header(fh, path):
             if len(tokens) != 3:
                 raise PlyError(f"{path}: malformed element line (line {line_no})")
             try:
-                count = int(tokens[2])
+                if (count := int(tokens[2])) < 0:
+                    raise ValueError
             except ValueError:
                 raise PlyError(f"{path}: bad element count {tokens[2]!r} (line {line_no})") from None
             elements.append((tokens[1], count, []))

@@ -1,9 +1,12 @@
 import csv
+import importlib
 import json
 import os
 import subprocess
 import sys
+import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -347,10 +350,12 @@ class TestRunBenchmark:
         assert len(one) == 2
         assert env == one
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_one_prepared_reference_at_a_time(self, tmp_path, monkeypatch, threads):
+    @pytest.fixture
+    def interleaved(self, tmp_path):
+        """A manifest whose two references' rows interleave, and the cache
+        it should leave: key -> score() of the pair as read back from disk."""
         config = MetricConfig(seeds=8, neighbors=6)
-        want = {}   # cache key -> score() of the pair as read back from disk
+        want = {}
         for name, seed in (("a", 7), ("b", 8)):
             ref_path = tmp_path / f"{name}.ply"
             save_ply(sphere_cloud(600, seed, radius=100.0), ref_path)
@@ -362,10 +367,14 @@ class TestRunBenchmark:
                 key = (f"{evaluation._sha256_file(ref_path)}:"
                        f"{evaluation._sha256_file(dist_path)}:{evaluation._config_digest(config)}")
                 want[key] = score(ref, load_ply(dist_path), config, threads=1).q
-        # the two references' rows interleave
         rows = [["a.ply", "a0.ply", "g", 1.0], ["b.ply", "b0.ply", "g", 2.0],
                 ["a.ply", "a1.ply", "g", 3.0], ["b.ply", "b1.ply", "g", 4.0]]
-        manifest = _build_manifest(tmp_path, rows)
+        return _build_manifest(tmp_path, rows), config, want
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_prepared_reference_at_a_time(self, tmp_path, monkeypatch, interleaved,
+                                              threads):
+        manifest, config, want = interleaved
         states = []
         original = evaluation.prepare_reference
 
@@ -382,6 +391,95 @@ class TestRunBenchmark:
         with open(tmp_path / "r.csv", newline="") as fh:
             report = list(csv.reader(fh))
         assert [r[1] for r in report[1:5]] == ["a0.ply", "b0.ply", "a1.ply", "b1.ply"]
+
+    def test_rows_score_one_at_a_time_on_the_group_pool(self, tmp_path, monkeypatch,
+                                                       interleaved):
+        manifest, config, want = interleaved
+        # every patch a group of its own, every call pooled at two workers
+        monkeypatch.setattr(tcdm.metric, "_SLOTS", 0)
+        monkeypatch.setattr(tcdm.metric, "_POOL_MIN_SLOTS", 0)
+        pools = []
+
+        class CountingPool(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(tcdm.metric, "ThreadPoolExecutor", CountingPool)
+        calls, in_flight, lock = [], [0], threading.Lock()
+        original = evaluation.score_with_reference
+
+        def tracking(state, distorted, threads=None):
+            with lock:
+                in_flight[0] += 1
+                calls.append((threading.get_ident(), threads, in_flight[0]))
+            try:
+                return original(state, distorted, threads=threads)
+            finally:
+                with lock:
+                    in_flight[0] -= 1
+
+        monkeypatch.setattr(evaluation, "score_with_reference", tracking)
+        run_benchmark(manifest, config, tmp_path / "r.csv", threads=2)
+        assert calls == [(threading.get_ident(), 2, 1)] * 4
+        assert pools == [2] * 6   # two prepares and four scores, one pool each
+        assert json.loads((tmp_path / "r.csv.scores.json").read_text()) == want
+
+    def test_one_distorted_cloud_alive_at_a_time(self, tmp_path, monkeypatch, interleaved):
+        manifest, config, _ = interleaved
+        live, peak = [0], [0]
+        original = evaluation.score_with_reference
+
+        def released():
+            live[0] -= 1
+
+        def counting(state, distorted, threads=None):
+            live[0] += 1
+            weakref.finalize(distorted, released)
+            peak[0] = max(peak[0], live[0])
+            return original(state, distorted, threads=threads)
+
+        monkeypatch.setattr(evaluation, "score_with_reference", counting)
+        run_benchmark(manifest, config, tmp_path / "r.csv", threads=2)
+        assert (peak[0], live[0]) == (1, 0)
+
+    def test_benchmark_stage_spans(self, tmp_path, monkeypatch, interleaved):
+        # the benchmark times a manifest pass by these spans alone
+        manifest, config, _ = interleaved
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        spans = importlib.import_module("spans")
+        tracer = spans.Tracer()
+        with spans.install(tracer, spans.STAGES):
+            run_benchmark(manifest, config, tmp_path / "r.csv", threads=2)
+        prepares = [s for s in tracer.spans if s.name == "metric.prepare"]
+        scores = sorted((s for s in tracer.spans if s.name == "metric.score"),
+                        key=lambda s: s.start)
+        assert [sum(s.attrs["patch_points"]) for s in prepares] == [600, 600]
+        assert [s.attrs["workers"] for s in scores] == [2] * 4
+        assert all(a.end <= b.start for a, b in zip(scores, scores[1:]))
+
+    @pytest.mark.parametrize("text", ["[]", "3", '"scores"', "{bad json"])
+    def test_cache_not_an_object_is_ignored(self, tmp_path, two_row_manifest, caplog, text):
+        config = MetricConfig(seeds=8, neighbors=6)
+        cache_path = tmp_path / "r.csv.scores.json"
+        cache_path.write_text(text)
+        summary = run_benchmark(two_row_manifest, config, tmp_path / "r.csv", threads=1)
+        assert summary.n == 2 and summary.cache_hits == 0
+        assert "ignoring unreadable score cache" in caplog.text
+        assert len(json.loads(cache_path.read_text())) == 2
+
+    @pytest.mark.parametrize("entry", [None, "0.5", True, [0.5]])
+    def test_cache_entry_not_a_number_is_ignored(self, tmp_path, two_row_manifest, caplog,
+                                                 entry):
+        config = MetricConfig(seeds=8, neighbors=6)
+        run_benchmark(two_row_manifest, config, tmp_path / "r.csv", threads=1)
+        cache_path = tmp_path / "r.csv.scores.json"
+        good = json.loads(cache_path.read_text())
+        cache_path.write_text(json.dumps(dict(good, **{min(good): entry})))
+        summary = run_benchmark(two_row_manifest, config, tmp_path / "r.csv", threads=1)
+        assert summary.n == 2 and summary.cache_hits == 0
+        assert "ignoring unreadable score cache" in caplog.text
+        assert json.loads(cache_path.read_text()) == good
 
     @pytest.mark.parametrize("mos", ["nan", "inf", "good", ""])
     def test_bad_mos_rejected_before_scoring(self, tmp_path, monkeypatch, mos):

@@ -440,14 +440,19 @@ class TestPatchPool:
         score_with_reference(state, pair[1], threads=1)
         assert pools == []
 
-    def test_each_call_logs_workers_and_slots(self, pair, caplog):
+    def test_each_call_logs_workers_and_slots(self, pair, caplog, pools):
         caplog.set_level(logging.DEBUG, logger="tcdm")
         state = prepare_reference(pair[0], CFG, threads=2)
         score_with_reference(state, pair[1], threads=1)
+        # one 600-point patch at K=20: 12,000 slots but one group, so the
+        # two workers asked for are not used
+        prepare_reference(sphere_cloud(600, 1, radius=10.0), MetricConfig(seeds=1), threads=2)
         slots = CFG.neighbors * pair[0].count / CFG.seeds
         assert [r.getMessage() for r in caplog.records] == [
             f"prepare: 2 worker(s), {slots:.0f} neighbor slots per patch",
-            f"score: 1 worker(s), {slots:.0f} neighbor slots per patch"]
+            f"score: 1 worker(s), {slots:.0f} neighbor slots per patch",
+            "prepare: 1 worker(s), 12000 neighbor slots per patch"]
+        assert len(pools) == 1
 
     def test_one_pool_per_call_on_large_patches(self, pair, pools):
         # 6,000 points over 20 seeds at K=20: ~6,000 neighbor slots per patch

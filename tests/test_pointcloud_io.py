@@ -176,6 +176,24 @@ class TestLoadPly:
             "end_header\n"))
         assert load_ply(path).count == 0
 
+    @pytest.mark.parametrize("encoding", ["ascii", "binary_little_endian"])
+    @pytest.mark.parametrize("elements, bad", [
+        ("element vertex -2\n", "-2"),
+        ("element camera -1\nproperty float fx\nelement vertex 1\n", "-1")],
+        ids=["vertex", "preceding"])
+    def test_negative_element_count_rejected(self, tmp_path, encoding, elements, bad):
+        # vertex -2 would load as an empty cloud (ascii) or fail in the
+        # reader (binary); camera -1 would skip backwards to the vertices
+        path = tmp_path / "negative.ply"
+        path.write_bytes((
+            f"ply\nformat {encoding} 1.0\n{elements}"
+            "property float x\nproperty float y\nproperty float z\n"
+            "property uchar red\nproperty uchar green\nproperty uchar blue\n"
+            "end_header\n").encode() + bytes(15))
+        with pytest.raises(PlyError, match=rf"bad element count '{bad}' \(line 3\)$") as err:
+            load_ply(path)
+        assert str(err.value).startswith(f"{path}: ")
+
     def test_list_property_in_vertex_rejected(self, tmp_path):
         path = write_text(tmp_path / "list.ply", (
             "ply\nformat ascii 1.0\nelement vertex 1\n"
