@@ -12,7 +12,7 @@ from .evaluation import (CorrelationSummary, f_test, fit_logistic5, plcc, rmse,
                          run_benchmark, srocc)
 from .metric import QualityReport, prepare_reference, score, score_with_reference
 from .pointcloud import DegradationSpec, PlyError, PointCloud, degrade, load_ply, save_ply
-from .segmentation import SeedSet, select_seeds
+from .segmentation import select_seeds
 
 __version__ = "0.1.0"
 
@@ -21,7 +21,7 @@ __all__ = [
     "score", "prepare_reference", "score_with_reference",
     "PointCloud", "DegradationSpec", "PlyError",
     "load_ply", "save_ply", "degrade",
-    "SeedSet", "select_seeds",
+    "select_seeds",
     "plcc", "srocc", "rmse", "f_test", "fit_logistic5", "run_benchmark",
     "CorrelationSummary",
 ]

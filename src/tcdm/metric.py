@@ -186,11 +186,11 @@ def prepare_reference(reference: PointCloud, config: MetricConfig | None = None,
             f"seed count {config.seeds} exceeds reference size {reference.count}")
     colors = _working_colors(reference, config)
     seeds = select_seeds(reference, config.seeds, config.sampling, config.sampling_seed)
-    labels = nearest_seed_labels(reference.positions, seeds.positions)
-    ref_patches = split_patches(reference.positions, colors, labels, seeds.positions)
+    labels = nearest_seed_labels(reference.positions, seeds)
+    ref_patches = split_patches(reference.positions, colors, labels, seeds)
     prepared = _map_groups(lambda g: encode_reference_patches(ref_patches[g], config),
                            ref_patches.counts, config, threads, "prepare")
-    return ReferenceState(config=config, seed_positions=seeds.positions,
+    return ReferenceState(config=config, seed_positions=seeds,
                           ref_points=reference.count, patches=prepared)
 
 

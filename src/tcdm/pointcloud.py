@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -145,12 +146,10 @@ def _parse_header(fh, path):
         elif tokens[0] == "property":
             if not elements:
                 raise PlyError(f"{path}: property before any element (line {line_no})")
-            if tokens[1] == "list":
-                elements[-1][2].append((tokens[-1], "list"))
-            else:
-                if len(tokens) != 3:
-                    raise PlyError(f"{path}: malformed property line (line {line_no})")
-                elements[-1][2].append((tokens[2], tokens[1]))
+            listed = tokens[1:2] == ["list"]
+            if (len(tokens) < 5) if listed else (len(tokens) != 3):
+                raise PlyError(f"{path}: malformed property line (line {line_no})")
+            elements[-1][2].append((tokens[-1], "list" if listed else tokens[1]))
         elif tokens[0] == "end_header":
             break
         else:
@@ -200,8 +199,9 @@ def load_ply(path) -> PointCloud:
             if any(p[1] == "list" for p in props):
                 raise PlyError(f"{path}: cannot skip element {name!r} with list properties")
             if fmt == "ascii":
-                for _ in range(count):
-                    fh.readline()
+                if (got := sum(1 for _ in islice(fh, count))) < count:
+                    raise PlyError(f"{path}: truncated payload, {got} of {count} "
+                                   f"{name!r} rows present")
             else:
                 fh.seek(_vertex_layout_size(path, props) * count, os.SEEK_CUR)
         _, count, props = vertex
@@ -211,14 +211,16 @@ def load_ply(path) -> PointCloud:
             # matters for binary layout.
             dtype = np.dtype([(n, "<f8" if d.kind == "f" else d)
                               for n, (d, _) in dtype.fields.items()])
-            lines = [fh.readline() for _ in range(count)]
+            lines = list(islice(fh, count))
+            if len(lines) < count:
+                raise PlyError(f"{path}: truncated payload at vertex {len(lines)} of {count}")
             rows = _parse_ascii_rows(path, lines, props, dtype)
         else:
-            payload = fh.read(dtype.itemsize * count)
-            if len(payload) != dtype.itemsize * count:
-                got = len(payload) // dtype.itemsize
+            left = max(0, os.fstat(fh.fileno()).st_size - fh.tell())
+            if dtype.itemsize * count > left:
+                got = left // dtype.itemsize
                 raise PlyError(f"{path}: truncated payload, {got} of {count} vertices present")
-            rows = np.frombuffer(payload, dtype=dtype)
+            rows = np.frombuffer(fh.read(dtype.itemsize * count), dtype=dtype)
     positions = np.column_stack([rows[n].astype(np.float64) for n in _COORD_PROPS])
     colors = np.column_stack([rows[n].astype(np.float64) for n in _COLOR_PROPS])
     if not np.isfinite(positions).all():

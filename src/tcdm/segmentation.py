@@ -17,7 +17,6 @@ from .pointcloud import PointCloud
 from .spatial import build_index, farthest_point_sampling, knn_batch, random_sampling
 
 __all__ = [
-    "SeedSet",
     "Patch",
     "select_seeds",
     "nearest_seed_labels",
@@ -26,23 +25,10 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class SeedSet:
-    """Generating seeds: positions of sampled reference points."""
-
-    positions: np.ndarray   # (L, 3)
-    indices: np.ndarray     # (L,) rows of the reference cloud
-
-    @property
-    def count(self) -> int:
-        return self.positions.shape[0]
-
-
-@dataclass(frozen=True)
 class Patch:
     """Points of one cell, translated so the seed is at the origin and
-    sorted by that position, x then y then z (coincident: cloud order)."""
+    sorted by that position, x then y then z, then by color (c0, c1, c2)."""
 
-    indices: np.ndarray     # original rows in the parent cloud
     positions: np.ndarray   # (n, 3) seed-relative coordinates
     colors: np.ndarray      # (n, 3) untouched by translation
 
@@ -52,15 +38,15 @@ class Patch:
 
 
 def select_seeds(reference: PointCloud, count: int, strategy: str = "fps",
-                 rng_seed: int = 0) -> SeedSet:
-    """Sample ``count`` seed points from the reference cloud."""
+                 rng_seed: int = 0) -> np.ndarray:
+    """Sample ``count`` seed positions, (count, 3), from the reference cloud."""
     if strategy == "fps":
         idx = farthest_point_sampling(reference.positions, count)
     elif strategy == "random":
         idx = random_sampling(reference.positions, count, rng_seed)
     else:
         raise ValueError(f"unknown sampling strategy {strategy!r}")
-    return SeedSet(reference.positions[idx].copy(), idx)
+    return reference.positions[idx]
 
 
 def nearest_seed_labels(positions: np.ndarray, seed_positions: np.ndarray) -> np.ndarray:
@@ -101,13 +87,16 @@ class PatchSplit:
         members = self._order[bounds[0]:bounds[-1]]
         label = np.repeat(np.arange(lo, hi), self.counts[lo:hi])
         rel = self._positions[members] - self._seeds[label]
-        # a stable sort: coincident points of a patch keep cloud order
         rows = np.lexsort((rel[:, 2], rel[:, 1], rel[:, 0], label))
-        members, rel = members[rows], rel[rows]
-        colors = self._colors[members]
+        rel, colors = rel[rows], self._colors[members[rows]]
+        # coincident rows of a patch go by color; rows equal in both keep
+        # cloud order, and are interchangeable
+        tie = (label[1:] == label[:-1]) & (rel[1:] == rel[:-1]).all(axis=1)
+        if tie.any():
+            run = np.cumsum(np.r_[True, ~tie])
+            colors = colors[np.lexsort((colors[:, 2], colors[:, 1], colors[:, 0], run))]
         bounds = (bounds - bounds[0]).tolist()
-        return [Patch(indices=members[a:b], positions=rel[a:b], colors=colors[a:b])
-                for a, b in zip(bounds[:-1], bounds[1:])]
+        return [Patch(rel[a:b], colors[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def split_patches(positions: np.ndarray, colors: np.ndarray, labels: np.ndarray,

@@ -44,6 +44,26 @@ def nearest_seed_oracle(point, seed_positions):
     return int(idx[0])
 
 
+def cell_rows_oracle(positions, colors, seed_positions):
+    """Each seed's cell, one (rows, positions, colors) triple per seed: the
+    cloud rows whose ``nearest_seed_oracle`` is that seed, their positions
+    minus the seed's, and their colors, sorted by (x, y, z, c0, c1, c2,
+    row) with plain Python tuple comparison."""
+    positions = np.asarray(positions, dtype=np.float64)
+    colors = np.asarray(colors, dtype=np.float64)
+    seed_positions = np.asarray(seed_positions, dtype=np.float64)
+    keys = [[] for _ in seed_positions]
+    for i, point in enumerate(positions):
+        l = nearest_seed_oracle(point, seed_positions)
+        rel = point - seed_positions[l]
+        keys[l].append((*rel.tolist(), *colors[i].tolist(), i))
+    cells = []
+    for l, cell in enumerate(keys):
+        rows = np.array([key[-1] for key in sorted(cell)], dtype=np.intp)
+        cells.append((rows, positions[rows] - seed_positions[l], colors[rows]))
+    return cells
+
+
 def fps_oracle(positions, count):
     """Greedy farthest-point sampling with a full-cloud pass per pick.
 

@@ -49,18 +49,17 @@ def test_criterion_01_partition_soundness():
                          rng.integers(0, 256, size=(n, 3)).astype(float))
         dist = PointCloud(rng.uniform(-50, 50, size=(m, 3)),
                           rng.integers(0, 256, size=(m, 3)).astype(float))
-        seeds = select_seeds(ref, min(400, n), strategy="random", rng_seed=trial)
-        sp = seeds.positions
-        refs = split_patches(ref.positions, ref.colors,
-                             nearest_seed_labels(ref.positions, sp), sp)
-        dists = split_patches(dist.positions, dist.colors,
-                              nearest_seed_labels(dist.positions, sp), sp)
-        assert sum(p.count for p in refs) == n
-        assert sum(p.count for p in dists) == m
-        ref_members = np.concatenate([p.indices for p in refs])
-        dist_members = np.concatenate([p.indices for p in dists])
-        assert np.array_equal(np.sort(ref_members), np.arange(n))
-        assert np.array_equal(np.sort(dist_members), np.arange(m))
+        sp = select_seeds(ref, min(400, n), strategy="random", rng_seed=trial)
+        for cloud in (ref, dist):
+            labels = nearest_seed_labels(cloud.positions, sp)
+            patches = split_patches(cloud.positions, cloud.colors, labels, sp)
+            assert sum(p.count for p in patches) == cloud.count
+            # every point once, in its own cell, at its seed-relative position
+            rel = cloud.positions - sp[labels]
+            order = np.lexsort((*cloud.colors.T[::-1], *rel.T[::-1], labels))
+            want = np.hstack([rel, cloud.colors])[order]
+            got = np.vstack([np.hstack([p.positions, p.colors]) for p in patches])
+            assert got.tobytes() == want.tobytes()
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"partition suite took {elapsed:.2f}s"
     _report(1, f"20 pairs partitioned exactly in {elapsed:.2f}s")

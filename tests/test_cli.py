@@ -51,6 +51,14 @@ class TestScoreCommand:
         assert code == 2
         assert "missing.ply" in err
 
+    def test_malformed_header_exits_two(self, ply_pair, tmp_path, capsys):
+        bad = tmp_path / "bad.ply"
+        bad.write_bytes(b"ply\nformat ascii 1.0\nelement vertex 1\nproperty\nend_header\n")
+        code = main(["score", str(ply_pair / "a.ply"), str(bad)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{bad}: malformed property line (line 4)" in err
+
     def test_unknown_flag_exits_one(self, ply_pair):
         with pytest.raises(SystemExit) as exc:
             main(["score", str(ply_pair / "a.ply"), str(ply_pair / "a.ply"),

@@ -17,9 +17,9 @@ RGB_W = np.array([0.25, 0.5, 0.25])
 
 def make_pair(rng, n_ref, n_dist, scale=5.0):
     """A prepared reference patch and a distorted patch, both random."""
-    ref = Patch(np.arange(n_ref), rng.uniform(-scale, scale, size=(n_ref, 3)),
+    ref = Patch(rng.uniform(-scale, scale, size=(n_ref, 3)),
                 rng.uniform(0, 255, size=(n_ref, 3)))
-    dist = Patch(np.arange(n_dist), rng.uniform(-scale, scale, size=(n_dist, 3)),
+    dist = Patch(rng.uniform(-scale, scale, size=(n_dist, 3)),
                  rng.uniform(0, 255, size=(n_dist, 3)))
     return encode_reference_patches([ref], MetricConfig())[0], dist
 
@@ -233,7 +233,7 @@ class TestPatchFeatures:
         cfg = MetricConfig(neighbors=8)
         for _ in range(20):
             n = int(rng.integers(10, 60))
-            ref = Patch(np.arange(n), rng.uniform(-3, 3, size=(n, 3)),
+            ref = Patch(rng.uniform(-3, 3, size=(n, 3)),
                         rng.uniform(0, 255, size=(n, 3)))
             (out,) = patch_features(encode_reference_patches([ref], cfg), [ref], cfg)
             assert out.f1_geometry == 1.0

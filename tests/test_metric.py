@@ -112,6 +112,25 @@ class TestDeterminismAndInvariance:
                    PointCloud(dist.positions[pd], dist.colors[pd]), cfg, threads=1).q
         assert abs(qp - q0) <= 1e-12
 
+    def test_permuted_reference_prepares_same_state(self):
+        # a coarse grid: coincident points that carry different colors
+        rng = np.random.default_rng(12)
+        ref = PointCloud(rng.integers(0, 8, size=(1500, 3)).astype(np.float64),
+                         rng.integers(0, 256, size=(1500, 3)).astype(np.float64))
+        perm = rng.permutation(ref.count)
+        cfg = MetricConfig(seeds=6, neighbors=8)
+        a = prepare_reference(ref, cfg, threads=1)
+        b = prepare_reference(PointCloud(ref.positions[perm], ref.colors[perm]), cfg, threads=1)
+        assert np.array_equal(a.seed_positions, b.seed_positions)
+        for pa, pb in zip(a.patches, b.patches, strict=True):
+            assert np.array_equal(pa.patch.positions, pb.patch.positions)
+            assert np.array_equal(pa.patch.colors, pb.patch.colors)
+            assert np.array_equal(pa.encoding.predictions, pb.encoding.predictions)
+            assert pa.encoding.complexity_geometry == pb.encoding.complexity_geometry
+            assert pa.encoding.complexity_color == pb.encoding.complexity_color
+            assert pa.field_ids.dtype == pb.field_ids.dtype
+            assert np.array_equal(pa.field_ids, pb.field_ids)
+
 
 class TestBehavior:
     def test_identity_scores_one(self, pair):
@@ -270,7 +289,7 @@ def _array_bytes(obj) -> int:
 class TestPreparedLayout:
     """What a prepared reference keeps per point: field ids at patch width
     (K times 1 byte under 256 points, 2 under 65,536), predictions (48),
-    positions (24), colors (24) and cloud rows (8)."""
+    positions (24) and colors (24); no cloud rows."""
 
     def test_bytes_per_point(self):
         k = 20
@@ -283,7 +302,7 @@ class TestPreparedLayout:
             n = ref.patch.count
             assert ref.field_ids.dtype == np.min_scalar_type(n - 1)
             assert ref.field_ids.shape == (n, k)
-            assert _array_bytes(ref) == n * (k * ref.field_ids.itemsize + 104)
+            assert _array_bytes(ref) == n * (k * ref.field_ids.itemsize + 96)
         # patches of 227 to 414 points: both widths occur
         assert {ref.field_ids.itemsize for ref in encoded} == {1, 2}
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -202,6 +204,50 @@ class TestLoadPly:
             "property uchar red\nproperty uchar green\nproperty uchar blue\n"
             "end_header\n0 0 0 0 1 2 3\n"))
         with pytest.raises(PlyError, match="list property"):
+            load_ply(path)
+
+    @pytest.mark.parametrize("line", [
+        "property", "property float", "property list", "property list uchar int"])
+    def test_malformed_property_line_rejected(self, tmp_path, line):
+        path = write_text(tmp_path / "prop.ply", (
+            f"ply\nformat ascii 1.0\nelement vertex 1\n{line}\n"
+            "property float x\nproperty float y\nproperty float z\n"
+            "property uchar red\nproperty uchar green\nproperty uchar blue\n"
+            "end_header\n0 0 0 0 1 2 3\n"))
+        with pytest.raises(PlyError, match=r"malformed property line \(line 4\)$") as err:
+            load_ply(path)
+        assert str(err.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("encoding, payload", [
+        ("ascii", b"0 0 0 1 2 3\n1 1 1 4 5 6\n"),
+        ("binary_little_endian", bytes(30))])
+    def test_declared_count_beyond_file_read_no_further(self, tmp_path, encoding, payload):
+        # two vertices held, two million declared: the reader stops at the
+        # end of the file instead of reading or allocating for the rest
+        path = tmp_path / "huge.ply"
+        path.write_bytes((
+            f"ply\nformat {encoding} 1.0\nelement vertex 2000000\n"
+            "property double x\nproperty double y\nproperty double z\n"
+            "property uchar red\nproperty uchar green\nproperty uchar blue\n"
+            "end_header\n").encode() + payload)
+        tracemalloc.start()
+        try:
+            with pytest.raises(PlyError, match="truncated payload"):
+                load_ply(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+
+    def test_truncated_preceding_ascii_element(self, tmp_path):
+        path = write_text(tmp_path / "pre.ply", (
+            "ply\nformat ascii 1.0\n"
+            "element camera 2000000\nproperty float fx\n"
+            "element vertex 1\n"
+            "property float x\nproperty float y\nproperty float z\n"
+            "property uchar red\nproperty uchar green\nproperty uchar blue\n"
+            "end_header\n99.0\n4 5 6 1 2 3\n"))
+        with pytest.raises(PlyError, match="truncated payload, 2 of 2000000 'camera' rows"):
             load_ply(path)
 
 

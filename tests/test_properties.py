@@ -2,9 +2,11 @@
 score of 1.0, and bit-equal scores across thread counts and under point
 permutation.
 
-The clouds mix distinct positions with exact duplicates that carry the same
-color, so seed sampling and every neighbor plan meet zero distances and
-exact ties.
+The clouds mix distinct positions with exact duplicates, so seed sampling
+and every neighbor plan meet zero distances and exact ties. The duplicates
+carry the same color, or, for the permutation property, a color of their
+own (such a cloud does not score exactly 1.0 against itself; see the
+README).
 """
 
 import numpy as np
@@ -29,14 +31,17 @@ def pool_on_every_patch():
 
 
 @st.composite
-def clouds(draw):
+def clouds(draw, recolor=False):
+    """Random clouds with duplicated points: same-colored duplicates, or,
+    with ``recolor``, duplicates that draw a color of their own."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(40, 240))
     positions = rng.uniform(-50.0, 50.0, size=(n, 3))
     colors = rng.integers(0, 256, size=(n, 3)).astype(np.float64)
     dup = rng.integers(0, n, size=draw(st.integers(0, 60)))
+    dup_colors = rng.integers(0, 256, size=(len(dup), 3)) if recolor else colors[dup]
     return PointCloud(np.concatenate([positions, positions[dup]]),
-                      np.concatenate([colors, colors[dup]]))
+                      np.concatenate([colors, dup_colors]))
 
 
 def configs(sampling=st.just("fps")):
@@ -80,6 +85,24 @@ def test_point_permutation_leaves_score(cloud, config, threads, seed):
     noisy = jittered(cloud, seed)
     report = score(cloud, noisy, config, threads=threads)
     rng = np.random.default_rng(seed)
+    pr, pd = rng.permutation(cloud.count), rng.permutation(noisy.count)
+    permuted = score(PointCloud(cloud.positions[pr], cloud.colors[pr]),
+                     PointCloud(noisy.positions[pd], noisy.colors[pd]), config,
+                     threads=threads)
+    assert (permuted.q, permuted.f1, permuted.f2) == (report.q, report.f1, report.f2)
+
+
+@given(cloud=clouds(recolor=True), config=configs(), threads=st.sampled_from([1, 2]),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_point_permutation_leaves_score_with_recolored_duplicates(cloud, config, threads, seed):
+    # the distorted cloud keeps every position, so its coincident points
+    # tie in the cross plans too
+    rng = np.random.default_rng(seed)
+    noisy = PointCloud(cloud.positions,
+                       np.clip(cloud.colors + rng.normal(0.0, 20.0, size=cloud.colors.shape),
+                               0.0, 255.0))
+    report = score(cloud, noisy, config, threads=threads)
     pr, pd = rng.permutation(cloud.count), rng.permutation(noisy.count)
     permuted = score(PointCloud(cloud.positions[pr], cloud.colors[pr]),
                      PointCloud(noisy.positions[pd], noisy.colors[pd]), config,

@@ -15,8 +15,7 @@ from oracles import det3_oracle, kron_solve, pinv_predictions
 
 
 def random_patch(rng, n, scale=1.0):
-    return Patch(np.arange(n),
-                 rng.uniform(-scale, scale, size=(n, 3)),
+    return Patch(rng.uniform(-scale, scale, size=(n, 3)),
                  rng.uniform(0.0, 255.0, size=(n, 3)))
 
 
@@ -76,7 +75,7 @@ class TestSpatialWeights:
 
 class TestAssembleDesign:
     def test_two_point_self_prediction(self):
-        patch = Patch(np.arange(2), np.array([[0.0, 0, 0], [1.0, 0, 0]]),
+        patch = Patch(np.array([[0.0, 0, 0], [1.0, 0, 0]]),
                       np.array([[10.0, 20, 30], [40.0, 50, 60]]))
         plan = build_neighbor_plan([patch], [patch], k=1, exclude="self",
                                    scheme="sigmoid_proposed", eta_mode="std")
@@ -138,7 +137,7 @@ class TestAssembleDesign:
         else:
             patch = random_patch(rng, 2 if case == "two_points" else 40)
             if case == "duplicates":
-                patch = Patch(patch.indices, np.repeat(patch.positions[:10], 4, axis=0),
+                patch = Patch(np.repeat(patch.positions[:10], 4, axis=0),
                               patch.colors)
             feats = patch.colors
             plans = [build_neighbor_plan([patch], [patch], k=k, exclude="self",
@@ -153,7 +152,7 @@ class TestAssembleDesign:
 
     def test_empty_source_rejected(self, rng):
         patch = random_patch(rng, 3)
-        empty = Patch(np.arange(0), np.zeros((0, 3)), np.zeros((0, 3)))
+        empty = Patch(np.zeros((0, 3)), np.zeros((0, 3)))
         with pytest.raises(ValueError):
             build_neighbor_plan([patch], [empty], k=2, exclude="nearest",
                                 scheme="sigmoid_proposed", eta_mode="std")
@@ -228,7 +227,7 @@ class TestFitSavar:
 
 class TestComplexities:
     def test_constant_color_zero_color_complexity(self, rng):
-        patch = Patch(np.arange(50), rng.uniform(-1, 1, size=(50, 3)),
+        patch = Patch(rng.uniform(-1, 1, size=(50, 3)),
                       np.full((50, 3), 77.0))
         enc = self_complexity([patch], k=6)[0]
         assert enc.complexity_color <= 1e-12
@@ -240,7 +239,7 @@ class TestComplexities:
         e2 = np.array([-0.1, 1.0, 0.4])
         positions = np.array([0.5, -0.2, 0.7]) + uv[:, :1] * e1 + uv[:, 1:] * e2
         colors = np.clip(100 + 30 * uv[:, :1] + 20 * uv[:, 1:] + np.zeros((n, 3)), 0, 255)
-        enc = self_complexity([Patch(np.arange(n), positions, colors)], k=8)[0]
+        enc = self_complexity([Patch(positions, colors)], k=8)[0]
         assert enc.complexity_geometry <= 1e-12
         assert enc.complexity_color <= 1e-12
 
@@ -272,8 +271,7 @@ class TestComplexities:
             vals = []
             for seed in range(10):
                 noise_rng = np.random.default_rng(seed)
-                noisy = Patch(patch.indices,
-                              patch.positions + noise_rng.normal(0, frac * diameter,
+                noisy = Patch(patch.positions + noise_rng.normal(0, frac * diameter,
                                                                  size=patch.positions.shape),
                               patch.colors)
                 enc = cross_complexity([patch], [noisy], k=10)[0]
@@ -283,20 +281,19 @@ class TestComplexities:
 
     def test_lone_distorted_point_completes(self, rng):
         ref = random_patch(rng, 20)
-        lone = Patch(np.arange(1), rng.uniform(-1, 1, size=(1, 3)),
+        lone = Patch(rng.uniform(-1, 1, size=(1, 3)),
                      rng.uniform(0, 255, size=(1, 3)))
         enc = cross_complexity([ref], [lone], k=20)[0]
         assert np.isfinite(enc.predictions).all()
 
     def test_geometry_complexity_scales_sixth_power(self, rng):
         ref = random_patch(rng, 100, scale=2.0)
-        dist = Patch(ref.indices,
-                     ref.positions + rng.normal(0, 0.1, size=ref.positions.shape),
+        dist = Patch(ref.positions + rng.normal(0, 0.1, size=ref.positions.shape),
                      ref.colors)
         base = cross_complexity([ref], [dist], k=8)[0].complexity_geometry
         for s in (2.0, 10.0):
-            scaled_ref = Patch(ref.indices, ref.positions * s, ref.colors)
-            scaled_dist = Patch(dist.indices, dist.positions * s, dist.colors)
+            scaled_ref = Patch(ref.positions * s, ref.colors)
+            scaled_dist = Patch(dist.positions * s, dist.colors)
             got = cross_complexity([scaled_ref], [scaled_dist], k=8)[0].complexity_geometry
             assert abs(got - base * s ** 6) <= 1e-6 * abs(base * s ** 6)
 
@@ -304,7 +301,7 @@ class TestComplexities:
         lone = random_patch(rng, 1)
         with pytest.raises(ValueError):
             self_complexity([lone], k=3)
-        empty = Patch(np.arange(0), np.zeros((0, 3)), np.zeros((0, 3)))
+        empty = Patch(np.zeros((0, 3)), np.zeros((0, 3)))
         ref = random_patch(rng, 10)
         with pytest.raises(ValueError):
             cross_complexity([ref], [empty], k=3)

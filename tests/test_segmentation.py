@@ -4,14 +4,14 @@ import pytest
 from tcdm.pointcloud import PointCloud
 from tcdm.savar import self_complexity
 from tcdm.segmentation import nearest_seed_labels, select_seeds, split_patches
+from tcdm.spatial import farthest_point_sampling
 
 from conftest import random_cloud
-from oracles import nearest_seed_oracle
+from oracles import cell_rows_oracle, nearest_seed_oracle
 
 
-def patch_pairs(ref, dist, seeds):
+def patch_pairs(ref, dist, sp):
     """(reference patch, distorted patch) per seed, as the pipeline splits them."""
-    sp = seeds.positions
     refs = split_patches(ref.positions, ref.colors, nearest_seed_labels(ref.positions, sp), sp)
     dists = split_patches(dist.positions, dist.colors,
                           nearest_seed_labels(dist.positions, sp), sp)
@@ -33,34 +33,36 @@ class TestSelectSeeds:
     def test_single_seed_covers_everything(self, cloud_pair):
         ref, dist = cloud_pair
         seeds = select_seeds(ref, 1)
-        assert np.all(nearest_seed_labels(ref.positions, seeds.positions) == 0)
-        assert np.all(nearest_seed_labels(dist.positions, seeds.positions) == 0)
+        assert np.all(nearest_seed_labels(ref.positions, seeds) == 0)
+        assert np.all(nearest_seed_labels(dist.positions, seeds) == 0)
 
     def test_fps_cube_corners(self):
         corners = np.array([[x, y, z] for x in (0.0, 1) for y in (0.0, 1) for z in (0.0, 1)])
         cloud = PointCloud(corners, np.zeros((8, 3)))
+        assert sorted(farthest_point_sampling(corners, 8)) == list(range(8))
         seeds = select_seeds(cloud, 8, strategy="fps")
-        assert sorted(seeds.indices) == list(range(8))
+        assert sorted(map(tuple, seeds.tolist())) == sorted(map(tuple, corners.tolist()))
 
     def test_seed_positions_are_reference_points(self, cloud_pair):
         ref, _ = cloud_pair
         seeds = select_seeds(ref, 20)
-        assert np.array_equal(seeds.positions, ref.positions[seeds.indices])
+        assert seeds.shape == (20, 3)
+        assert np.array_equal(seeds, ref.positions[farthest_point_sampling(ref.positions, 20)])
 
     def test_random_strategy_reproducible(self, cloud_pair):
         ref, _ = cloud_pair
         a = select_seeds(ref, 10, strategy="random", rng_seed=3)
         b = select_seeds(ref, 10, strategy="random", rng_seed=3)
-        assert np.array_equal(a.indices, b.indices)
+        assert np.array_equal(a, b)
 
 
 class TestAssignPartition:
     def test_counts_are_exhaustive(self, cloud_pair):
         ref, dist = cloud_pair
         seeds = select_seeds(ref, 25)
-        ref_counts = np.bincount(nearest_seed_labels(ref.positions, seeds.positions),
+        ref_counts = np.bincount(nearest_seed_labels(ref.positions, seeds),
                                  minlength=25)
-        dist_counts = np.bincount(nearest_seed_labels(dist.positions, seeds.positions),
+        dist_counts = np.bincount(nearest_seed_labels(dist.positions, seeds),
                                   minlength=25)
         assert ref_counts.sum() == ref.count
         assert dist_counts.sum() == dist.count
@@ -68,8 +70,8 @@ class TestAssignPartition:
     def test_point_on_seed_gets_that_label(self, cloud_pair):
         ref, _ = cloud_pair
         seeds = select_seeds(ref, 25)
-        labels = nearest_seed_labels(ref.positions, seeds.positions)
-        for l, idx in enumerate(seeds.indices):
+        labels = nearest_seed_labels(ref.positions, seeds)
+        for l, idx in enumerate(farthest_point_sampling(ref.positions, 25)):
             assert labels[idx] == l
 
     def test_two_seed_hand_case(self):
@@ -77,17 +79,17 @@ class TestAssignPartition:
                          np.zeros((4, 3)))
         seeds = select_seeds(ref, 2, strategy="random", rng_seed=0)
         # find which seed sits at x=0 vs x=10
-        order = np.argsort(seeds.positions[:, 0])
-        labels = nearest_seed_labels(ref.positions, seeds.positions)
+        order = np.argsort(seeds[:, 0])
+        labels = nearest_seed_labels(ref.positions, seeds)
         assert labels[2] == order[0]  # x=4 -> seed at x=0
         assert labels[3] == order[1]  # x=6 -> seed at x=10
 
     def test_matches_knn_oracle(self, cloud_pair):
         ref, dist = cloud_pair
         seeds = select_seeds(ref, 25)
-        labels = nearest_seed_labels(dist.positions, seeds.positions)
+        labels = nearest_seed_labels(dist.positions, seeds)
         for i in range(0, dist.count, 37):
-            assert labels[i] == nearest_seed_oracle(dist.positions[i], seeds.positions)
+            assert labels[i] == nearest_seed_oracle(dist.positions[i], seeds)
 
     def test_tie_goes_to_lower_ranked_seed(self):
         # point equidistant to seeds at x=0 and x=2: lex order prefers x=0
@@ -133,44 +135,53 @@ class TestBuildPatchPairs:
         assert len(pairs) == 25
         assert sum(r.count for r, _ in pairs) == ref.count
         assert sum(d.count for _, d in pairs) == dist.count
-        all_ref = np.concatenate([r.indices for r, _ in pairs])
-        assert len(set(all_ref.tolist())) == ref.count
+        # every patch holds its cell's rows, bit for bit, in the documented order
+        for cloud, side in ((ref, 0), (dist, 1)):
+            cells = cell_rows_oracle(cloud.positions, cloud.colors, seeds)
+            for pair, (_, positions, colors) in zip(pairs, cells):
+                assert pair[side].positions.tobytes() == positions.tobytes()
+                assert pair[side].colors.tobytes() == colors.tobytes()
 
     def test_seed_point_translates_to_origin(self, cloud_pair):
         ref, dist = cloud_pair
         seeds = select_seeds(ref, 25)
         pairs = patch_pairs(ref, dist, seeds)
-        for l, (r, _) in enumerate(pairs):
-            where = np.flatnonzero(r.indices == seeds.indices[l])
-            assert len(where) == 1
-            assert np.array_equal(r.positions[where[0]], [0.0, 0.0, 0.0])
+        for r, _ in pairs:
+            # the seed is a reference point of its own cell, and no other
+            # point of this cloud shares its position
+            assert np.count_nonzero(np.all(r.positions == 0.0, axis=1)) == 1
 
     def test_translation_reconstructs_members(self, cloud_pair):
         ref, dist = cloud_pair
         seeds = select_seeds(ref, 25)
         pairs = patch_pairs(ref, dist, seeds)
-        for (r, _), seed_position in zip(pairs, seeds.positions):
-            original = ref.positions[r.indices]
+        cells = cell_rows_oracle(ref.positions, ref.colors, seeds)
+        for (r, _), seed_position, (rows, _, _) in zip(pairs, seeds, cells):
+            original = ref.positions[rows]
             back = r.positions + seed_position
             assert np.abs(back - original).max() <= 1e-12 * max(1.0, np.abs(original).max())
-            assert np.array_equal(r.colors, ref.colors[r.indices])
+            assert np.array_equal(r.colors, ref.colors[rows])
 
     def test_members_in_lexicographic_order(self, rng):
-        # x-ties on a coarse grid, plus exact duplicates of some points
+        # x-ties on a coarse grid, plus exact duplicates of some points that
+        # carry a color of their own
         grid = rng.integers(0, 4, size=(200, 3)).astype(np.float64)
         dup = rng.integers(0, 200, size=60)
         positions = np.concatenate([grid, grid[dup]])
         cloud = PointCloud(positions, rng.uniform(0, 255, size=(260, 3)))
         seeds = select_seeds(cloud, 5)
-        labels = nearest_seed_labels(positions, seeds.positions)
+        labels = nearest_seed_labels(positions, seeds)
+        cells = cell_rows_oracle(positions, cloud.colors, seeds)
         ties = 0
-        for p in split_patches(positions, cloud.colors, labels, seeds.positions):
-            rows = [tuple(x) for x in p.positions.tolist()]
+        for p, (_, want_positions, want_colors) in zip(
+                split_patches(positions, cloud.colors, labels, seeds), cells):
+            # sorted by position, then coincident points by color
+            rows = [tuple(x) for x in np.hstack([p.positions, p.colors]).tolist()]
             assert rows == sorted(rows)
-            # coincident points keep ascending cloud rows
+            assert p.positions.tobytes() == want_positions.tobytes()
+            assert p.colors.tobytes() == want_colors.tobytes()
             same = np.all(p.positions[1:] == p.positions[:-1], axis=1)
-            assert np.all(np.diff(p.indices)[same] > 0)
-            ties += np.count_nonzero(same)
+            ties += np.count_nonzero(same & np.any(p.colors[1:] != p.colors[:-1], axis=1))
         assert ties > 0
 
     def test_joint_translation_invariance(self, cloud_pair):
@@ -184,9 +195,11 @@ class TestBuildPatchPairs:
         seeds_t = select_seeds(ref_t, 10)
         pairs_t = patch_pairs(ref_t, dist_t, seeds_t)
         for (ra, da), (rb, db) in zip(pairs, pairs_t):
-            assert np.array_equal(ra.indices, rb.indices)
-            assert np.array_equal(da.indices, db.indices)
+            # the same members in the same order: every color is kept
+            assert np.array_equal(ra.colors, rb.colors)
+            assert np.array_equal(da.colors, db.colors)
             assert np.abs(ra.positions - rb.positions).max() < 1e-9
+            assert np.abs(da.positions - db.positions).max() < 1e-9
 
     def test_permutation_invariance_of_memberships(self, rng):
         ref = random_cloud(300, rng)
@@ -196,14 +209,15 @@ class TestBuildPatchPairs:
 
         seeds = select_seeds(ref, 12)
         seeds_p = select_seeds(ref_p, 12)
-        assert np.array_equal(seeds.positions, seeds_p.positions)
+        assert np.array_equal(seeds, seeds_p)
 
         pairs = patch_pairs(ref, dist, seeds)
         pairs_p = patch_pairs(ref_p, dist, seeds_p)
         for (ra, da), (rb, db) in zip(pairs, pairs_p):
             assert np.array_equal(ra.positions, rb.positions)
             assert np.array_equal(ra.colors, rb.colors)
-            assert np.array_equal(da.indices, db.indices)
+            assert np.array_equal(da.positions, db.positions)
+            assert np.array_equal(da.colors, db.colors)
 
     def test_permuted_cloud_encodes_bit_equal(self, rng):
         # rows come out in one order whatever the cloud order, so the fits
@@ -215,7 +229,6 @@ class TestBuildPatchPairs:
         for ra, rb in patch_pairs(ref, ref_p, seeds):
             assert np.array_equal(ra.positions, rb.positions)
             assert np.array_equal(ra.colors, rb.colors)
-            assert np.array_equal(perm[rb.indices], ra.indices)
             enc = self_complexity([ra], k=8)[0]
             enc_p = self_complexity([rb], k=8)[0]
             assert enc_p.complexity_geometry == enc.complexity_geometry
