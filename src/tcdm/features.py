@@ -81,20 +81,22 @@ def _g_rows(pred: np.ndarray, ids: np.ndarray, color_weights: np.ndarray) -> np.
 
 
 def _field_neighbor_ids(predictions, k: int) -> list:
-    """Each row's k nearest other rows of its own patch by predicted
-    position, for a group of patches' (n, 6) ``predictions``: one (n, k)
+    """Each row's neighbor rows in its own patch by predicted position, for
+    a group of patches' (n, 6) ``predictions``: the k + 1 nearest, the
+    nearest dropped (the rule of ``build_neighbor_plan``), so a row whose
+    predicted position is unique gets its k nearest other rows. One (n, k)
     array per patch, at patch width (uint8 under 256 rows, uint16 under
     65,536; a short patch repeats the farthest).
 
     Distinct points can get the very same prediction (say, from the same
-    equidistant neighbors); a distance tie between them falls to the lower
-    row, and ``split_patches`` orders rows independently of the cloud."""
+    equidistant neighbors); among them the lower row is dropped for all,
+    and ``split_patches`` orders rows independently of the cloud."""
     if not predictions:
         return []
     bounds = _bounds([len(p) for p in predictions])
     pos = np.concatenate([p[:, :3] for p in predictions])
-    ids, _ = knn_segments(build_index(pos, bounds), pos, bounds, k, exclude=np.arange(len(pos)))
-    return [(ids[lo:hi] - lo).astype(np.min_scalar_type(hi - lo - 1))
+    ids, _ = knn_segments(build_index(pos, bounds), pos, bounds, k + 1)
+    return [(ids[lo:hi, 1:] - lo).astype(np.min_scalar_type(hi - lo - 1))
             for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
 
 

@@ -162,6 +162,9 @@ def _parse_header(fh, path):
 def _vertex_layout(path, props):
     """Validate vertex properties, returning (numpy dtype, coord names ok)."""
     names = [p[0] for p in props]
+    twice = next((n for i, n in enumerate(names) if n in names[:i]), None)
+    if twice is not None:
+        raise PlyError(f"{path}: vertex property {twice!r} is declared more than once")
     for req in _COORD_PROPS:
         if req not in names:
             raise PlyError(f"{path}: missing coordinate property {req!r}")
@@ -262,7 +265,8 @@ def _parse_ascii_rows(path, lines, props, dtype):
                 try:
                     flat[i, j] = float(tok)
                 except ValueError:
-                    raise PlyError(f"{path}: bad numeric value {tok!r} at vertex {i}") from None
+                    text = tok.decode("ascii", errors="replace")
+                    raise PlyError(f"{path}: bad numeric value {text!r} at vertex {i}") from None
     rows = np.empty(count, dtype=dtype)
     for j, (name, _) in enumerate(props):
         col = flat[:, j]

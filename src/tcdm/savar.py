@@ -2,8 +2,9 @@
 
 Each point's 3-channel feature (geometry XYZ or color RGB) is regressed on
 the distance-weighted features of its K nearest neighbors, with neighbors
-drawn either from the patch itself (self-prediction, the point excluded)
-or from the paired distorted patch (cross-prediction). The fit is a
+drawn either from the patch itself (self-prediction) or from the paired
+distorted patch (cross-prediction); both drop the nearest source point,
+which in self-prediction is the point itself. The fit is a
 closed-form multivariate least squares; the determinant of the residual
 covariance is the patch's complexity under that prediction regime.
 
@@ -130,33 +131,30 @@ def _bounds(counts) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(counts, dtype=np.intp)])
 
 
-def build_neighbor_plan(targets, sources, k: int, exclude: str, scheme: str,
+def build_neighbor_plan(targets, sources, k: int, scheme: str,
                         eta_mode: str) -> NeighborPlan:
     """Neighbor indices and weights for every row of a group of target
     patches, each row drawn from the source patch at the same position
     (``sources`` is ``targets`` for self-prediction).
 
-    ``exclude`` is "self" for self-prediction (each target's own row never
-    appears) or "nearest" for cross-prediction (the single closest source
-    point is dropped, mirroring the self case where the closest point is
-    the target itself). Indices count the sources' rows one patch after
-    another. Lists are k wide: the kNN repeats the farthest neighbor of a
-    short list, so a one-point source gives k copies of its point.
+    A row's neighbors are the k + 1 nearest points of its source patch,
+    the nearest dropped. In self-prediction that is the row itself unless
+    another row shares its position; among coincident rows, the first in
+    (position, color) order is dropped for all of them. One rule for both
+    regimes makes identical patches the same prediction problem. Indices
+    count the sources' rows one patch after another. Lists are k wide: the
+    kNN repeats the farthest neighbor of a short list, so a one-point
+    source gives k copies of its point.
     """
-    if exclude not in ("self", "nearest"):
-        raise ValueError(f"unknown exclusion mode {exclude!r}")
     if any(p.count < 1 for p in sources):
         raise ValueError("neighbor source patch is empty")
     tpos = _rows(targets)
     tb = _bounds([p.count for p in targets])
-    if exclude == "self":
-        idx, dist = knn_segments(build_index(tpos, tb), tpos, tb, k,
-                                 exclude=np.arange(len(tpos)))
-    else:
-        index = build_index(_rows(sources), _bounds([p.count for p in sources]))
-        idx, dist = knn_segments(index, tpos, tb, k + 1)
-        idx, dist = idx[:, 1:], dist[:, 1:]
-    return NeighborPlan(indices=idx, weights=_weights_from_distances(dist, scheme, eta_mode))
+    index = (build_index(tpos, tb) if sources is targets
+             else build_index(_rows(sources), _bounds([p.count for p in sources])))
+    idx, dist = knn_segments(index, tpos, tb, k + 1)
+    return NeighborPlan(indices=idx[:, 1:],
+                        weights=_weights_from_distances(dist[:, 1:], scheme, eta_mode))
 
 
 def _design_from_plan(plan: NeighborPlan, source_features: np.ndarray) -> np.ndarray:
@@ -207,11 +205,10 @@ def fit_savar(targets: np.ndarray, design: np.ndarray, ridge: float = 1e-8) -> S
     return SAVarFit(predictions=predictions, complexity=_clamped_det(0.5 * (sigma + sigma.T)))
 
 
-def _encode(targets, sources, k: int, exclude: str, scheme: str, eta_mode: str,
-            ridge: float) -> list:
+def _encode(targets, sources, k: int, scheme: str, eta_mode: str, ridge: float) -> list:
     if not targets:
         return []
-    plan = build_neighbor_plan(targets, sources, k, exclude, scheme, eta_mode)
+    plan = build_neighbor_plan(targets, sources, k, scheme, eta_mode)
     bounds = _bounds([p.count for p in targets])
     pred6 = np.empty((bounds[-1], 6))
     complexities = np.empty((len(targets), 2))
@@ -228,12 +225,12 @@ def _encode(targets, sources, k: int, exclude: str, scheme: str, eta_mode: str,
 
 def self_complexity(patches, k: int, scheme: str = "sigmoid_proposed",
                     eta_mode: str = "std", ridge: float = 1e-8) -> list:
-    """Encode each of a group of patches from its own neighborhoods (each
-    point excluded from its neighbor list), in order. Every patch needs at
-    least 2 points."""
+    """Encode each of a group of patches from its own neighborhoods (the
+    nearest point, the point itself, dropped from each), in order. Every
+    patch needs at least 2 points."""
     if any(p.count < 2 for p in patches):
         raise ValueError("self-prediction needs a patch with >= 2 points")
-    return _encode(patches, patches, k, "self", scheme, eta_mode, ridge)
+    return _encode(patches, patches, k, scheme, eta_mode, ridge)
 
 
 def cross_complexity(ref_patches, dist_patches, k: int,
@@ -242,11 +239,11 @@ def cross_complexity(ref_patches, dist_patches, k: int,
     """Encode each of a group of reference patches from neighborhoods in
     the distorted patch at the same position, in order.
 
-    The closest distorted point is excluded from each neighbor list, the
-    cross analogue of self-exclusion: when the distorted patch equals the
-    reference the two prediction problems then coincide, so identical
-    clouds get exactly equal complexities. Row i of an encoding predicts
-    the same reference point as row i of the self encoding.
+    The closest distorted point is dropped from each neighbor list, by the
+    rule self-prediction uses: when the distorted patch equals the
+    reference the two prediction problems coincide, so identical clouds
+    get exactly equal complexities. Row i of an encoding predicts the same
+    reference point as row i of the self encoding.
     """
     if len(ref_patches) != len(dist_patches):
         raise ValueError(f"{len(ref_patches)} reference patches but "
@@ -255,4 +252,4 @@ def cross_complexity(ref_patches, dist_patches, k: int,
         raise ValueError("cross-prediction needs a reference patch with >= 2 points")
     if any(p.count < 1 for p in dist_patches):
         raise ValueError("cross-prediction needs a nonempty distorted patch")
-    return _encode(ref_patches, dist_patches, k, "nearest", scheme, eta_mode, ridge)
+    return _encode(ref_patches, dist_patches, k, scheme, eta_mode, ridge)

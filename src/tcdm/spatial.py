@@ -10,6 +10,11 @@ exact distances already strictly increase in the tree's order needs no
 sort), and a row whose candidate set cannot prove the answer is asked
 again with twice the candidates, up to every point.
 
+No query leaves a point out. A caller that wants each indexed point's k
+nearest other points asks for k + 1 and drops the first column: the point
+itself wherever no other indexed point shares its position, and otherwise
+the first of the coincident points by rank.
+
 Squared distances are always accumulated coordinate by coordinate,
 ``(dx*dx + dy*dy) + dz*dz``, which is bitwise-identical to the naive
 per-pair ``((a - b) ** 2).sum()`` an exhaustive oracle would use. Faster
@@ -106,63 +111,55 @@ def _sq_dists(pts: np.ndarray, queries: np.ndarray, cand: np.ndarray) -> np.ndar
     return d2
 
 
-def _rerank(cand: np.ndarray, d2: np.ndarray, excl: np.ndarray | None, kk: int):
+def _rerank(cand: np.ndarray, d2: np.ndarray, kk: int):
     """The kk best of each row's candidate ranks, by (exact d², rank).
 
     ``cand`` holds ascending ranks, one row per query or one row shared by
-    all, and ``d2`` their contract d² (Q, w), overwritten where a row's
-    excluded rank sits. A stable sort on d² alone then realizes the
-    composite ordering. Returns (ranks, squared distances), both (Q, kk).
+    all, and ``d2`` their contract d² (Q, w). A stable sort on d² alone
+    then realizes the composite ordering. Returns (ranks, squared
+    distances), both (Q, kk).
     """
     cand = np.broadcast_to(cand, d2.shape)
-    if excl is not None:
-        d2[cand == excl[:, None]] = np.inf
     sel = np.argsort(d2, axis=1, kind="stable")[:, :kk]
     return np.take_along_axis(cand, sel, axis=1), np.take_along_axis(d2, sel, axis=1)
 
 
-def _exact_scan(pts: np.ndarray, queries: np.ndarray, excl: np.ndarray | None, kk: int):
+def _exact_scan(pts: np.ndarray, queries: np.ndarray, kk: int):
     """Contract-exact top-kk over every indexed point."""
     cand = np.arange(pts.shape[0])
-    return _rerank(cand, _sq_dists(pts, queries, cand), excl, kk)
+    return _rerank(cand, _sq_dists(pts, queries, cand), kk)
 
 
-def _tree_search(pts: np.ndarray, tree: cKDTree, queries: np.ndarray,
-                 excl: np.ndarray | None, kk: int, w: int):
+def _tree_search(pts: np.ndarray, tree: cKDTree, queries: np.ndarray, kk: int, w: int):
     """Top-kk from ``w`` kd-tree candidates per row, and which rows are safe.
 
     The tree lists candidates by its own distance. In a first query (one
-    candidate beyond the kk wanted and the excluded one), a row whose exact
-    d² strictly increase in that order is already in (d², rank) order and
-    is sliced as is; with exclusion, the excluded point must come first and
-    is dropped. Other rows, and every row of a widened query (each failed
-    on a tie before), are re-ranked, and so is every row of a query where
-    most rows have equal tree distances. A row is safe when its kk-th exact
-    d² lies clearly below the w-th candidate's tree d²: every point outside
-    the candidates is then strictly farther than the kk-th. Boundary ties,
+    candidate beyond the kk wanted), a row whose exact d² strictly increase
+    in that order is already in (d², rank) order and is sliced as is.
+    Other rows, and every row of a widened query (each failed on a tie
+    before), are re-ranked, and so is every row of a query where most rows
+    have equal tree distances. A row is safe when its kk-th exact d² lies
+    clearly below the w-th candidate's tree d²: every point outside the
+    candidates is then strictly farther than the kk-th. Boundary ties,
     duplicates and zero distances leave a row unsafe.
     """
     tdist, cand = tree.query(queries, k=w)
-    lo = 0 if excl is None else 1
     fast = np.zeros(len(cand), dtype=bool)
-    if w == kk + lo + 1:
-        fast = (tdist[:, lo + 1:] > tdist[:, lo:-1]).all(axis=1)
-        if excl is not None:
-            fast &= cand[:, 0] == excl
+    if w == kk + 1:
+        fast = (tdist[:, 1:] > tdist[:, :-1]).all(axis=1)
     # Slicing the slow rows out costs more than the sorts the fast ones
     # save unless they are the majority; on voxel grids most rows tie.
     if 2 * np.count_nonzero(fast) > len(fast):
         d2 = _sq_dists(pts, queries, cand)
-        fast &= (d2[:, lo + 1:] > d2[:, lo:-1]).all(axis=1)
-        ranks, dk = cand[:, lo:kk + lo], d2[:, lo:kk + lo]
+        fast &= (d2[:, 1:] > d2[:, :-1]).all(axis=1)
+        ranks, dk = cand[:, :kk], d2[:, :kk]
         slow = ~fast
         if slow.any():
             c = np.sort(cand[slow], axis=1)
-            ranks[slow], dk[slow] = _rerank(c, _sq_dists(pts, queries[slow], c),
-                                            None if excl is None else excl[slow], kk)
+            ranks[slow], dk[slow] = _rerank(c, _sq_dists(pts, queries[slow], c), kk)
     else:
         cand.sort(axis=1)
-        ranks, dk = _rerank(cand, _sq_dists(pts, queries, cand), excl, kk)
+        ranks, dk = _rerank(cand, _sq_dists(pts, queries, cand), kk)
     bound = tdist[:, -1] * tdist[:, -1] * (1.0 - _TREE_MARGIN)
     return ranks, dk, dk[:, -1] < bound
 
@@ -202,15 +199,13 @@ class _Trees:
         return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 
-def knn_segments(index: SpatialIndex, queries: np.ndarray, query_bounds, k: int,
-                 exclude: np.ndarray | None = None):
+def knn_segments(index: SpatialIndex, queries: np.ndarray, query_bounds, k: int):
     """``knn_batch`` over an index of segments, all segments at once: query
     rows ``query_bounds[s]:query_bounds[s + 1]`` are answered from segment
     s alone, exactly as a ``knn_batch`` call on that segment would.
 
     Returns (indices, distances) of shape (Q, k). Indices count the
-    index's points from its first row, across segments, and ``exclude``
-    names one such point per row, inside the row's own segment.
+    index's points from its first row, across segments.
     """
     queries = np.ascontiguousarray(queries, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[1] != 3:
@@ -223,24 +218,6 @@ def knn_segments(index: SpatialIndex, queries: np.ndarray, query_bounds, k: int,
         raise ValueError(f"query_bounds must cut the {n} queries into {bounds.size - 1} "
                          f"consecutive ranges, one per index segment, got {qb}")
     m = np.diff(bounds)
-    excl = None
-    if exclude is not None:
-        exclude = np.asarray(exclude)
-        if exclude.shape != (n,) or exclude.dtype.kind not in "iu":
-            raise ValueError(f"exclude must be {n} integers, one per query, "
-                             f"got shape {exclude.shape} of {exclude.dtype}")
-        seg = np.repeat(np.arange(m.size), np.diff(qb))
-        lo, hi = bounds[seg], bounds[seg + 1]
-        bad = np.flatnonzero((exclude < lo) | (exclude >= hi))
-        if bad.size:
-            r = bad[0]
-            raise ValueError(f"exclude row {r}: point {exclude[r]} is not in [{lo[r]}, {hi[r]})")
-        if (m < 2).any():
-            raise ValueError("no neighbors left after exclusion")
-        rank = np.empty(index.count, dtype=np.intp)
-        rank[index.order] = np.arange(index.count)
-        excl = rank[exclude]
-    e = int(excl is not None)
     pts = index.positions[index.order]
     # kd-trees are built per call, per segment asked, and dropped after:
     # the pipeline queries each index once, and a prepared reference keeps
@@ -248,19 +225,17 @@ def knn_segments(index: SpatialIndex, queries: np.ndarray, query_bounds, k: int,
     trees = {}
     ranks = np.empty((n, k), dtype=np.intp)
     d2 = np.empty((n, k))
-    # One candidate beyond the k wanted (and the excluded one) is what the
-    # safety test compares against. Unsafe rows are asked again with twice
-    # the candidates (ties on voxel grids mostly clear at the next width),
-    # until every point of their segment is a candidate and the scan is
-    # exhaustive; a segment of no more points than that is scanned at once.
-    # Only the rows left unsafe are listed: the first pass walks every row
-    # block by block.
-    todo, width = None, k + e + 1
-    while todo is None or todo.size:
+    # One candidate beyond the k wanted is what the safety test compares
+    # against. Unsafe rows are asked again with twice the candidates (ties
+    # on voxel grids mostly clear at the next width), until every point of
+    # their segment is a candidate and the scan is exhaustive; a segment of
+    # no more points than that is scanned at once.
+    todo, width = np.arange(n), k + 1
+    while todo.size:
         step = max(1, _SLOTS // width)
         unsafe = [np.empty(0, dtype=np.intp)]
-        for i in range(0, n if todo is None else todo.size, step):
-            rows = np.arange(i, min(i + step, n)) if todo is None else todo[i:i + step]
+        for i in range(0, todo.size, step):
+            rows = todo[i:i + step]
             segs = np.searchsorted(qb, rows, side="right") - 1
             scan = m[segs] <= width
             if scan.any():
@@ -270,17 +245,16 @@ def knn_segments(index: SpatialIndex, queries: np.ndarray, query_bounds, k: int,
                 for s, a, b in _runs(segs[scan]):
                     r = scanned[a:b]
                     lo, hi = int(bounds[s]), int(bounds[s + 1])
-                    # when fewer points are left, the farthest one repeats
-                    kk = min(k, hi - lo - e)
-                    got, dk = _exact_scan(pts[lo:hi], queries[r],
-                                          None if excl is None else excl[r] - lo, kk)
+                    # when fewer points are indexed, the farthest one repeats
+                    kk = min(k, hi - lo)
+                    got, dk = _exact_scan(pts[lo:hi], queries[r], kk)
                     got += lo
                     ranks[r, :kk], ranks[r, kk:] = got, got[:, -1:]
                     d2[r, :kk], d2[r, kk:] = dk, dk[:, -1:]
                 rows, segs = rows[~scan], segs[~scan]
             if rows.size:
-                got, dk, safe = _tree_search(pts, _Trees(pts, bounds, trees, segs), queries[rows],
-                                             None if excl is None else excl[rows], k, width)
+                got, dk, safe = _tree_search(pts, _Trees(pts, bounds, trees, segs),
+                                             queries[rows], k, width)
                 ranks[rows[safe]], d2[rows[safe]] = got[safe], dk[safe]
                 unsafe.append(rows[~safe])
         todo = np.concatenate(unsafe)
@@ -288,18 +262,15 @@ def knn_segments(index: SpatialIndex, queries: np.ndarray, query_bounds, k: int,
     return index.order[ranks], np.sqrt(d2, out=d2)
 
 
-def knn_batch(index: SpatialIndex, queries: np.ndarray, k: int,
-              exclude: np.ndarray | None = None):
+def knn_batch(index: SpatialIndex, queries: np.ndarray, k: int):
     """Vectorized knn for many queries: the one-segment case of
     ``knn_segments``.
 
     Returns (indices, distances) of shape (Q, k) in original point
-    numbering. When ``exclude`` names an index point per row, that point
-    never appears (so excluding from a one-point index raises). Every row
-    is k wide: when fewer points are left, the farthest one repeats.
+    numbering. Every row is k wide: when fewer points are indexed, the
+    farthest one repeats.
     """
-    queries = np.ascontiguousarray(queries, dtype=np.float64)
-    return knn_segments(index, queries, [0, len(queries)], k, exclude)
+    return knn_segments(index, queries, [0, len(queries)], k)
 
 
 def farthest_point_sampling(positions, count: int) -> np.ndarray:

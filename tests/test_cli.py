@@ -59,6 +59,17 @@ class TestScoreCommand:
         assert code == 2
         assert f"{bad}: malformed property line (line 4)" in err
 
+    def test_property_declared_twice_exits_two(self, ply_pair, tmp_path, capsys):
+        bad = tmp_path / "twice.ply"
+        bad.write_bytes(b"ply\nformat ascii 1.0\nelement vertex 1\n"
+                        b"property float x\nproperty float y\nproperty float z\n"
+                        b"property float x\nproperty uchar red\nproperty uchar green\n"
+                        b"property uchar blue\nend_header\n0 0 0 0 1 2 3\n")
+        code = main(["score", str(ply_pair / "a.ply"), str(bad)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{bad}: vertex property 'x' is declared more than once" in err
+
     def test_unknown_flag_exits_one(self, ply_pair):
         with pytest.raises(SystemExit) as exc:
             main(["score", str(ply_pair / "a.ply"), str(ply_pair / "a.ply"),

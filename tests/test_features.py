@@ -8,8 +8,9 @@ from tcdm.features import (_field_neighbor_ids, _g_rows, complexity_similarity, 
                            prediction_similarity)
 from tcdm.metric import encode_reference_patches
 from tcdm.segmentation import Patch
+from tcdm.spatial import build_index, knn_batch
 
-from oracles import Point, g_difference, g_rows_gather
+from oracles import Point, g_difference, g_rows_gather, knn_oracle
 
 
 RGB_W = np.array([0.25, 0.5, 0.25])
@@ -184,6 +185,30 @@ class TestDifferenceFields:
         fx2, fy2 = _g_rows(x_hat, ids2, RGB_W), _g_rows(y_perm, ids2, RGB_W)
         assert np.array_equal(fx1, fx2)
         assert not np.array_equal(fy1, fy2)
+
+    def test_rows_are_the_k_nearest_others(self, rng):
+        # a tie-free group, one patch shorter than k: each row's field
+        # neighbors are the oracle's k nearest other rows, padded
+        preds = [np.column_stack([rng.uniform(-3, 3, size=(n, 3)),
+                                  rng.uniform(0, 255, size=(n, 3))]) for n in (30, 4, 12)]
+        for k in (1, 6):
+            for pred, ids in zip(preds, _field_neighbor_ids(preds, k)):
+                for r, q in enumerate(pred[:, :3]):
+                    want = knn_oracle(pred[:, :3], q, k, exclude=r)[0]
+                    want = want[np.minimum(np.arange(k), len(want) - 1)]
+                    assert np.array_equal(ids[r], want), (k, r)
+
+    def test_rows_on_rounded_grid_with_duplicates(self, rng):
+        # coincident predictions all drop the first of them: each patch's
+        # rows are its k + 1 nearest with the first column dropped
+        preds = [np.concatenate([p, p[::4]]) for p in
+                 (np.round(np.column_stack([rng.uniform(-2, 2, size=(n, 3)),
+                                            rng.uniform(0, 255, size=(n, 3))]))
+                  for n in (60, 9))]
+        for k in (1, 8):
+            for pred, ids in zip(preds, _field_neighbor_ids(preds, k)):
+                want, _ = knn_batch(build_index(pred[:, :3]), pred[:, :3], k + 1)
+                assert np.array_equal(ids, want[:, 1:]), k
 
     def test_short_patch_padding(self, rng):
         positions = rng.uniform(-3, 3, size=(3, 3))

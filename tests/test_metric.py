@@ -140,6 +140,17 @@ class TestBehavior:
         assert rep.f1 == 1.0
         assert rep.f2 == 1.0
 
+    def test_identity_with_recolored_duplicates_scores_one(self):
+        # coincident points in colors of their own: self and cross plans
+        # drop the same nearest point, so both encodings are one problem
+        base = sphere_cloud(4000, 1, radius=100.0)
+        rng = np.random.default_rng(2)
+        dup = rng.choice(base.count, size=40, replace=False)
+        ref = PointCloud(np.concatenate([base.positions, base.positions[dup]]),
+                         np.concatenate([base.colors, rng.integers(0, 256, size=(40, 3))]))
+        rep = score(ref, ref, MetricConfig(seeds=20, neighbors=10), threads=1)
+        assert (rep.q, rep.f1, rep.f2) == (1.0, 1.0, 1.0)
+
     def test_noise_monotonicity(self, pair):
         ref, _ = pair
         state = prepare_reference(ref, CFG)
@@ -353,10 +364,10 @@ class TestGroups:
         widened = [0]
         tree_search = tcdm.spatial._tree_search
 
-        def counting_tree_search(pts, tree, queries, excl, kk, w):
-            if w > kk + (excl is not None) + 1:
+        def counting_tree_search(pts, tree, queries, kk, w):
+            if w > kk + 1:
                 widened[0] += queries.shape[0]
-            return tree_search(pts, tree, queries, excl, kk, w)
+            return tree_search(pts, tree, queries, kk, w)
 
         monkeypatch.setattr(tcdm.spatial, "_tree_search", counting_tree_search)
         state = prepare_reference(ref, cfg, threads=1)

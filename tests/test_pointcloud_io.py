@@ -239,6 +239,30 @@ class TestLoadPly:
             tracemalloc.stop()
         assert peak < 5e6
 
+    @pytest.mark.parametrize("encoding", ["ascii", "binary_little_endian"])
+    @pytest.mark.parametrize("twice", ["x", "red", "intensity"])
+    def test_property_declared_twice_rejected(self, tmp_path, encoding, twice):
+        path = tmp_path / "twice.ply"
+        path.write_bytes((
+            f"ply\nformat {encoding} 1.0\nelement vertex 1\n"
+            "property float x\nproperty float y\nproperty float z\n"
+            "property uchar red\nproperty uchar green\nproperty uchar blue\n"
+            "property uchar intensity\n"
+            f"property {'float' if twice == 'x' else 'uchar'} {twice}\n"
+            "end_header\n").encode() + (b"0 0 0 1 2 3 4 5\n" if encoding == "ascii" else bytes(20)))
+        with pytest.raises(PlyError, match=f"vertex property '{twice}' is declared more "
+                                           f"than once$") as err:
+            load_ply(path)
+        assert str(err.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("token", ["zz", "1.5e", "0x1f"])
+    def test_ascii_bad_token_quoted_as_text(self, tmp_path, token):
+        path = write_text(tmp_path / "token.ply",
+                          SINGLE_POINT_PLY.replace("0 0 0 255 0 0", f"0 {token} 0 255 0 0"))
+        with pytest.raises(PlyError, match=rf"bad numeric value '{token}' at vertex 0$") as err:
+            load_ply(path)
+        assert str(err.value).startswith(f"{path}: ")
+
     def test_truncated_preceding_ascii_element(self, tmp_path):
         path = write_text(tmp_path / "pre.ply", (
             "ply\nformat ascii 1.0\n"

@@ -4,9 +4,8 @@ permutation.
 
 The clouds mix distinct positions with exact duplicates, so seed sampling
 and every neighbor plan meet zero distances and exact ties. The duplicates
-carry the same color, or, for the permutation property, a color of their
-own (such a cloud does not score exactly 1.0 against itself; see the
-README).
+carry the same color, or, for the self-comparison and one permutation
+property, a color of their own.
 """
 
 import numpy as np
@@ -65,7 +64,8 @@ def jittered(cloud, seed):
                       cloud.colors)
 
 
-@given(cloud=clouds(), config=configs(any_sampling), threads=st.sampled_from([1, 2]))
+@given(cloud=st.one_of(clouds(), clouds(recolor=True)), config=configs(any_sampling),
+       threads=st.sampled_from([1, 2]))
 @settings(max_examples=25, deadline=None)
 def test_self_comparison_scores_one(cloud, config, threads):
     assert score(cloud, cloud, config, threads=threads).q == 1.0

@@ -11,7 +11,7 @@ from tcdm.savar import (NeighborPlan, _design_from_plan, _weights_from_distances
                         sigmoid_distance_values)
 from tcdm.spatial import build_index, knn_batch
 
-from oracles import det3_oracle, kron_solve, pinv_predictions
+from oracles import det3_oracle, knn_oracle, kron_solve, pinv_predictions
 
 
 def random_patch(rng, n, scale=1.0):
@@ -77,30 +77,33 @@ class TestAssembleDesign:
     def test_two_point_self_prediction(self):
         patch = Patch(np.array([[0.0, 0, 0], [1.0, 0, 0]]),
                       np.array([[10.0, 20, 30], [40.0, 50, 60]]))
-        plan = build_neighbor_plan([patch], [patch], k=1, exclude="self",
+        plan = build_neighbor_plan([patch], [patch], k=1,
                                    scheme="sigmoid_proposed", eta_mode="std")
         # sole neighbor carries weight 1: the other point's color verbatim
         assert np.array_equal(_design_from_plan(plan, patch.colors), patch.colors[::-1])
 
     def test_padding_repeats_farthest(self, rng):
         patch = random_patch(rng, 5)
-        plan = build_neighbor_plan([patch], [patch], k=20, exclude="self",
+        plan = build_neighbor_plan([patch], [patch], k=20,
                                    scheme="sigmoid_proposed", eta_mode="std")
         assert plan.indices.shape == (5, 20)
-        _, dist = knn_batch(build_index(patch.positions), patch.positions, 20,
-                            exclude=np.arange(5))
-        # columns 4..19 repeat column 3 (the farthest of the 4 usable neighbors)
+        # the plan's distances: the 21 nearest, the nearest (the row) dropped
+        idx, dist = knn_batch(build_index(patch.positions), patch.positions, 21)
+        assert np.array_equal(idx[:, 0], np.arange(5))
+        assert np.array_equal(plan.indices, idx[:, 1:])
+        # columns 4..19 repeat column 3 (the farthest of the 4 other points)
         for col in range(4, 20):
             assert np.array_equal(plan.indices[:, col], plan.indices[:, 3])
-            assert np.array_equal(dist[:, col], dist[:, 3])
+            assert np.array_equal(dist[:, col + 1], dist[:, 4])
 
     def test_lone_cross_source_repeats(self, rng):
-        # "nearest" cannot drop the only point: every list is k copies of it
+        # dropping the nearest cannot drop the only point: every list is k
+        # copies of it
         ref = random_patch(rng, 6)
         dist = random_patch(rng, 1)
         want = np.sqrt(((ref.positions - dist.positions[0]) ** 2).sum(axis=1))
         for k in (1, 2, 7, 20):
-            plan = build_neighbor_plan([ref], [dist], k=k, exclude="nearest",
+            plan = build_neighbor_plan([ref], [dist], k=k,
                                        scheme="sigmoid_proposed", eta_mode="std")
             # the plan's distances: the k + 1 nearest, the nearest dropped
             _, dists = knn_batch(build_index(dist.positions), ref.positions, k + 1)
@@ -110,16 +113,40 @@ class TestAssembleDesign:
             # all-equal distances give a flat spread, so weights are uniform
             assert np.allclose(plan.weights, 1.0 / k)
 
-    @pytest.mark.parametrize("exclude", [None, "none", "both"])
-    def test_unknown_exclusion_rejected(self, rng, exclude):
-        patch = random_patch(rng, 5)
-        with pytest.raises(ValueError, match="unknown exclusion mode"):
-            build_neighbor_plan([patch], [patch], k=2, exclude=exclude,
-                                scheme="sigmoid_proposed", eta_mode="std")
+    def test_self_rows_are_the_k_nearest_others(self, rng):
+        # tie-free patches of a group, one shorter than k: each row's
+        # neighbors are the oracle's k nearest other points, padded
+        patches = [random_patch(rng, n) for n in (40, 6, 25)]
+        for k in (1, 7):
+            plan = build_neighbor_plan(patches, patches, k=k,
+                                       scheme="sigmoid_proposed", eta_mode="std")
+            lo = 0
+            for patch in patches:
+                for r, q in enumerate(patch.positions):
+                    want = knn_oracle(patch.positions, q, k, exclude=r)[0]
+                    want = want[np.minimum(np.arange(k), len(want) - 1)]
+                    assert np.array_equal(plan.indices[lo + r] - lo, want), (k, r)
+                lo += patch.count
+
+    @pytest.mark.parametrize("copied", [False, True], ids=["self", "equal_copy"])
+    def test_plan_on_grid_with_duplicates(self, rng, copied):
+        # coincident rows all drop the first of them: the plan is the
+        # k + 1 nearest with the first column dropped, whatever the ties,
+        # and a source equal to the targets (a cross plan) gives the same
+        g = np.arange(4, dtype=np.float64)
+        grid = np.array(np.meshgrid(g, g, g)).reshape(3, -1).T
+        pos = np.concatenate([grid, grid[::3], grid[::7]])
+        patch = Patch(pos, rng.uniform(0.0, 255.0, size=pos.shape))
+        source = Patch(pos.copy(), patch.colors.copy()) if copied else patch
+        for k in (1, 6, 20):
+            plan = build_neighbor_plan([patch], [source], k=k,
+                                       scheme="sigmoid_proposed", eta_mode="std")
+            idx, _ = knn_batch(build_index(pos), pos, k + 1)
+            assert np.array_equal(plan.indices, idx[:, 1:]), k
 
     def test_design_shape_and_weighting(self, rng):
         patch = random_patch(rng, 30)
-        plan = build_neighbor_plan([patch], [patch], k=4, exclude="self",
+        plan = build_neighbor_plan([patch], [patch], k=4,
                                    scheme="sigmoid_proposed", eta_mode="std")
         design = _design_from_plan(plan, patch.positions)
         assert design.shape == (30, 12)
@@ -140,7 +167,7 @@ class TestAssembleDesign:
                 patch = Patch(np.repeat(patch.positions[:10], 4, axis=0),
                               patch.colors)
             feats = patch.colors
-            plans = [build_neighbor_plan([patch], [patch], k=k, exclude="self",
+            plans = [build_neighbor_plan([patch], [patch], k=k,
                                          scheme="sigmoid_proposed", eta_mode="std")
                      for k in (1, 7, 20)]
         for plan in plans:
@@ -154,7 +181,7 @@ class TestAssembleDesign:
         patch = random_patch(rng, 3)
         empty = Patch(np.zeros((0, 3)), np.zeros((0, 3)))
         with pytest.raises(ValueError):
-            build_neighbor_plan([patch], [empty], k=2, exclude="nearest",
+            build_neighbor_plan([patch], [empty], k=2,
                                 scheme="sigmoid_proposed", eta_mode="std")
 
 
@@ -253,10 +280,15 @@ class TestComplexities:
         assert enc.complexity_color >= 0.0
 
     def test_duplicate_cloud_cross_equals_self(self, rng):
-        # the closest distorted point is excluded exactly like the self
+        # the closest distorted point is dropped exactly like the self
         # case, so identical patches give identical prediction problems
-        for _ in range(20):
+        for i in range(20):
             patch = random_patch(rng, int(rng.integers(10, 80)))
+            if i % 2:
+                # coincident rows in colors of their own
+                dup = rng.integers(0, patch.count, size=8)
+                patch = Patch(np.concatenate([patch.positions, patch.positions[dup]]),
+                              np.concatenate([patch.colors, rng.uniform(0.0, 255.0, (8, 3))]))
             s = self_complexity([patch], k=10)[0]
             c = cross_complexity([patch], [patch], k=10)[0]
             assert c.complexity_geometry == s.complexity_geometry

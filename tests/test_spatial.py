@@ -55,21 +55,12 @@ class TestKnn:
                 want_idx, want_dist = knn_oracle(pts, q, k=k)
                 assert np.array_equal(idx[0], want_idx), (q, k)
 
-    def test_exclude_index_never_appears(self):
-        pts = coords(100, seed=7)
-        index = build_index(pts)
-        for i in (0, 13, 99):
-            idx, _ = knn_batch(index, pts[i:i + 1], k=10, exclude=[i])
-            assert i not in idx[0]
-            want_idx, _ = knn_oracle(pts, pts[i], k=10, exclude=i)
-            assert np.array_equal(idx[0], want_idx)
-
     def test_collinear_hand_case(self):
         pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [3.0, 0, 0]])
         index = build_index(pts)
-        idx, dist = knn_batch(index, [[1.0, 0, 0]], k=2, exclude=[1])
-        assert list(idx[0]) == [0, 2]
-        assert np.allclose(dist[0], [1.0, 2.0])
+        idx, dist = knn_batch(index, [[1.0, 0, 0]], k=3)
+        assert list(idx[0]) == [1, 0, 2]
+        assert np.allclose(dist[0], [0.0, 1.0, 2.0])
 
     def test_lexicographic_tie_rule(self):
         pts = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
@@ -87,38 +78,18 @@ class TestKnn:
         assert np.all(idx[0, 3:] == idx[0, 2])
         assert np.all(dist[0, 3:] == dist[0, 2])
 
-    @pytest.mark.parametrize("excluded", [False, True])
-    def test_every_row_is_k_wide(self, excluded):
+    def test_every_row_is_k_wide(self):
         # duplicates make zero distances and ties in the short lists too
         pts = np.concatenate([coords(6, seed=28), coords(2, seed=28)])
         n = len(pts)
         index = build_index(pts)
-        exclude = np.arange(n) if excluded else None
         for k in range(1, n + 4):
-            idx, dist = knn_batch(index, pts, k, exclude=exclude)
+            idx, dist = knn_batch(index, pts, k)
             assert idx.shape == dist.shape == (n, k)
             for r, q in enumerate(pts):
-                want = padded(knn_oracle(pts, q, k, exclude=r if excluded else None), k)
+                want = padded(knn_oracle(pts, q, k), k)
                 assert np.array_equal(idx[r], want[0]), (k, r)
                 assert np.array_equal(dist[r], want[1]), (k, r)
-
-    def test_exclusion_from_one_point_rejected(self):
-        index = build_index([[1.0, 2.0, 3.0]])
-        with pytest.raises(ValueError, match="no neighbors left"):
-            knn_batch(index, [[1.0, 2.0, 3.0]], k=1, exclude=[0])
-
-    @pytest.mark.parametrize("exclude, message", [
-        ([0, -1], r"exclude row 1: point -1 is not in \[0, 3\)"),
-        ([3, 1], r"exclude row 0: point 3 is not in \[0, 3\)"),
-        ([0], r"exclude must be 2 integers, one per query, got shape \(1,\)"),
-        ([0, 1, 2], r"exclude must be 2 integers, one per query, got shape \(3,\)"),
-        ([0.0, 1.0], r"exclude must be 2 integers"),
-    ], ids=["negative", "past_end", "short", "long", "float"])
-    def test_bad_exclusion_rejected(self, exclude, message):
-        # a negative point would wrap around to the last one
-        pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])
-        with pytest.raises(ValueError, match=message):
-            knn_batch(build_index(pts), pts[:2], k=2, exclude=exclude)
 
     def test_duplicates_accepted(self):
         pts = np.array([[1.0, 1, 1], [1.0, 1, 1], [2.0, 2, 2]])
@@ -153,15 +124,6 @@ class TestKnn:
             assert np.array_equal(dist[row], one_dist[0])
 
 
-def split_calls(n, count, self_excluded):
-    """(rows, exclude) per knn_batch call over ``count`` queries whose
-    first ``n`` are the indexed points: with self-exclusion, those rows go
-    in one excluded call and the rest in one plain call."""
-    if not self_excluded:
-        return [(np.arange(count), None)]
-    return [(np.arange(n), np.arange(n)), (np.arange(n, count), None)]
-
-
 class TestTieFallback:
     """Batch queries on tie-heavy clouds, every row against the oracle."""
 
@@ -177,21 +139,20 @@ class TestTieFallback:
         seen = {"widened": 0, "scanned": 0}
         tree_search, exact_scan = spatial._tree_search, spatial._exact_scan
 
-        def counting_tree_search(pts, tree, queries, excl, kk, w):
-            if w > kk + (excl is not None) + 1:
+        def counting_tree_search(pts, tree, queries, kk, w):
+            if w > kk + 1:
                 seen["widened"] += queries.shape[0]
-            return tree_search(pts, tree, queries, excl, kk, w)
+            return tree_search(pts, tree, queries, kk, w)
 
-        def counting_exact_scan(pts, queries, excl, kk):
+        def counting_exact_scan(pts, queries, kk):
             seen["scanned"] += queries.shape[0]
-            return exact_scan(pts, queries, excl, kk)
+            return exact_scan(pts, queries, kk)
 
         monkeypatch.setattr(spatial, "_tree_search", counting_tree_search)
         monkeypatch.setattr(spatial, "_exact_scan", counting_exact_scan)
         return seen
 
-    @pytest.mark.parametrize("self_excluded", [False, True])
-    def test_every_row_matches_oracle(self, fallbacks, self_excluded):
+    def test_every_row_matches_oracle(self, fallbacks):
         big = self.grid(10)
         small = self.grid(3)
         # duplicated points make zero distances and boundary ties; on the
@@ -201,17 +162,14 @@ class TestTieFallback:
             n = len(pts)
             # on-grid queries tie on every shell; half-offset ones sit between
             queries = np.concatenate([pts, pts[::13] + 0.5])
-            calls = split_calls(n, len(queries), self_excluded)
             index = build_index(pts)
             # oracle lists at the largest k; a smaller k's answer is their prefix
-            want = [knn_oracle(pts, q, 20, exclude=r if self_excluded and r < n else None)
-                    for r, q in enumerate(queries)]
+            want = [knn_oracle(pts, q, 20) for q in queries]
             for k in (1, 6, 20):
-                for rows, exclude in calls:
-                    idx, dist = knn_batch(index, queries[rows], k, exclude=exclude)
-                    for i, r in enumerate(rows):
-                        assert np.array_equal(idx[i], want[r][0][:k]), (n, k, r)
-                        assert np.array_equal(dist[i], want[r][1][:k]), (n, k, r)
+                idx, dist = knn_batch(index, queries, k)
+                for r in range(len(queries)):
+                    assert np.array_equal(idx[r], want[r][0][:k]), (n, k, r)
+                    assert np.array_equal(dist[r], want[r][1][:k]), (n, k, r)
         assert fallbacks["widened"] > 0
         assert fallbacks["scanned"] > 0
 
@@ -226,49 +184,44 @@ class TestSortFreeRerank:
         first = {"on": False}
         tree_search, rerank = spatial._tree_search, spatial._rerank
 
-        def counting_tree_search(pts, tree, queries, excl, kk, w):
-            first["on"] = w == kk + (excl is not None) + 1
+        def counting_tree_search(pts, tree, queries, kk, w):
+            first["on"] = w == kk + 1
             if first["on"]:
                 seen["rows"] += queries.shape[0]
             try:
-                return tree_search(pts, tree, queries, excl, kk, w)
+                return tree_search(pts, tree, queries, kk, w)
             finally:
                 first["on"] = False
 
-        def counting_rerank(cand, d2, excl, kk):
+        def counting_rerank(cand, d2, kk):
             if first["on"]:
                 seen["reranked"] += d2.shape[0]
-            return rerank(cand, d2, excl, kk)
+            return rerank(cand, d2, kk)
 
         monkeypatch.setattr(spatial, "_tree_search", counting_tree_search)
         monkeypatch.setattr(spatial, "_rerank", counting_rerank)
         return seen
 
-    @pytest.mark.parametrize("self_excluded", [False, True])
-    def test_mixed_rows_match_oracle(self, reranked, self_excluded):
+    def test_mixed_rows_match_oracle(self, reranked):
         # a tie-free random cloud beside an integer grid whose points tie on
-        # every shell; some grid points are duplicated, so the excluded
-        # point is not always the first candidate
+        # every shell; some grid points are duplicated, so a query on one
+        # meets two candidates at distance zero
         rng = np.random.default_rng(23)
         g = np.arange(5, dtype=np.float64)
         grid = np.array(np.meshgrid(g, g, g)).reshape(3, -1).T + 100.0
         pts = np.concatenate([rng.uniform(-10, 10, size=(300, 3)), grid, grid[::11]])
-        n = len(pts)
         queries = np.concatenate([pts, rng.uniform(-10, 10, size=(20, 3)), grid[::7] + 0.5])
-        want = [knn_oracle(pts, q, 12, exclude=r if self_excluded and r < n else None)
-                for r, q in enumerate(queries)]
+        want = [knn_oracle(pts, q, 12) for q in queries]
         index = build_index(pts)
         for k in (1, 4, 12):
-            for rows, exclude in split_calls(n, len(queries), self_excluded):
-                idx, dist = knn_batch(index, queries[rows], k, exclude=exclude)
-                for i, r in enumerate(rows):
-                    assert np.array_equal(idx[i], want[r][0][:k]), (k, r)
-                    assert np.array_equal(dist[i], want[r][1][:k]), (k, r)
+            idx, dist = knn_batch(index, queries, k)
+            for r in range(len(queries)):
+                assert np.array_equal(idx[r], want[r][0][:k]), (k, r)
+                assert np.array_equal(dist[r], want[r][1][:k]), (k, r)
         assert reranked["reranked"] > 0
         assert reranked["rows"] - reranked["reranked"] > 0
 
-    @pytest.mark.parametrize("self_excluded", [False, True])
-    def test_exact_check_catches_tree_order(self, monkeypatch, self_excluded):
+    def test_exact_check_catches_tree_order(self, monkeypatch):
         # a tree whose distances always look tie-free sends every row of a
         # tie-heavy grid to the exact d² check, which alone must catch ties
         class TieHidingTree(cKDTree):
@@ -281,13 +234,11 @@ class TestSortFreeRerank:
         g = np.arange(4, dtype=np.float64)
         grid = np.array(np.meshgrid(g, g, g)).reshape(3, -1).T
         pts = np.concatenate([grid, grid[::5]])
-        n = len(pts)
-        exclude = np.arange(n) if self_excluded else None
         index = build_index(pts)
         for k in (1, 6):
-            idx, dist = knn_batch(index, pts, k, exclude=exclude)
-            for r in range(n):
-                want = knn_oracle(pts, pts[r], k, exclude=r if self_excluded else None)
+            idx, dist = knn_batch(index, pts, k)
+            for r in range(len(pts)):
+                want = knn_oracle(pts, pts[r], k)
                 assert np.array_equal(idx[r], want[0]), (k, r)
                 assert np.array_equal(dist[r], want[1]), (k, r)
 
@@ -306,16 +257,16 @@ class TestSlotBudget:
         seen = {"rows": 0}
         tree_search = spatial._tree_search
 
-        def counting_tree_search(pts, tree, queries, excl, kk, w):
-            if w > kk + (excl is not None) + 1:
+        def counting_tree_search(pts, tree, queries, kk, w):
+            if w > kk + 1:
                 seen["rows"] += queries.shape[0]
-            return tree_search(pts, tree, queries, excl, kk, w)
+            return tree_search(pts, tree, queries, kk, w)
 
         monkeypatch.setattr(spatial, "_tree_search", counting_tree_search)
         return seen
 
-    # 40 slots: 20 rows a block at k=1, 5 at the first width of k=6 with
-    # exclusion, fewer once widened; the default holds each query whole
+    # 40 slots: 20 rows a block at k=1, 5 at the first width of k=7, fewer
+    # once widened; the default holds each query whole
     @pytest.mark.parametrize("slots", [40, spatial._SLOTS])
     def test_k1_and_widened_rows_match_oracle(self, monkeypatch, widened, slots):
         monkeypatch.setattr(spatial, "_SLOTS", slots)
@@ -326,9 +277,9 @@ class TestSlotBudget:
             want = knn_oracle(seeds, q, 1)
             assert np.array_equal(idx[r], want[0]) and np.array_equal(dist[r], want[1]), r
         pts = grid_with_duplicates(4)
-        idx, dist = knn_batch(build_index(pts), pts, 6, exclude=np.arange(len(pts)))
+        idx, dist = knn_batch(build_index(pts), pts, 7)
         for r, q in enumerate(pts):
-            want = knn_oracle(pts, q, 6, exclude=r)
+            want = knn_oracle(pts, q, 7)
             assert np.array_equal(idx[r], want[0]) and np.array_equal(dist[r], want[1]), r
         assert widened["rows"] > 0
 
@@ -345,29 +296,23 @@ class TestSegments:
                 np.array([[7.0, 7.0, 7.0], [7.0, 7.0, 7.0]]),
                 coords(1, seed=43)]                    # one point
 
-    @pytest.mark.parametrize("self_excluded", [False, True])
     @pytest.mark.parametrize("slots", [40, spatial._SLOTS])
-    def test_each_segment_as_its_own_call(self, monkeypatch, self_excluded, slots):
+    def test_each_segment_as_its_own_call(self, monkeypatch, slots):
         monkeypatch.setattr(spatial, "_SLOTS", slots)
-        parts = self.segments()[:-1] if self_excluded else self.segments()
-        if self_excluded:
-            queries = parts
-        else:
-            queries = [np.concatenate([p, p[::3] + 0.5]) for p in parts]
+        parts = self.segments()
+        queries = [np.concatenate([p, p[::3] + 0.5]) for p in parts]
         bounds = np.cumsum([0] + [len(p) for p in parts])
         qbounds = np.cumsum([0] + [len(q) for q in queries])
         index = build_index(np.concatenate(parts), bounds)
         for k in (1, 6):
-            exclude = np.arange(bounds[-1]) if self_excluded else None
-            idx, dist = knn_segments(index, np.concatenate(queries), qbounds, k, exclude)
+            idx, dist = knn_segments(index, np.concatenate(queries), qbounds, k)
             for s, (p, q) in enumerate(zip(parts, queries)):
                 rows = slice(qbounds[s], qbounds[s + 1])
-                one = knn_batch(build_index(p), q, k,
-                                exclude=np.arange(len(p)) if self_excluded else None)
+                one = knn_batch(build_index(p), q, k)
                 assert np.array_equal(idx[rows] - bounds[s], one[0]), (s, k)
                 assert np.array_equal(dist[rows], one[1]), (s, k)
                 for r in range(len(q)):
-                    want = padded(knn_oracle(p, q[r], k, exclude=r if self_excluded else None), k)
+                    want = padded(knn_oracle(p, q[r], k), k)
                     assert np.array_equal(one[0][r], want[0]) and np.array_equal(one[1][r], want[1])
 
     def test_bad_bounds_rejected(self):
@@ -381,11 +326,6 @@ class TestSegments:
             knn_segments(index, pts, [0, 10], 2)
         with pytest.raises(ValueError, match="one per index segment"):
             knn_batch(index, pts, 2)
-        # a row may exclude only a point of its own segment
-        exclude = np.arange(10)
-        exclude[5] = 2
-        with pytest.raises(ValueError, match=r"exclude row 5: point 2 is not in \[4, 10\)"):
-            knn_segments(index, pts, [0, 4, 10], 2, exclude)
 
 
 class TestFpsMatchesOracle:
