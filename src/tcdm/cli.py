@@ -57,7 +57,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                         help="color difference channel weights (default %(default)s)")
     parser.add_argument("--threads", type=int, default=None,
                         help="worker threads for the patch groups of each prepare and "
-                             "score (default: TCDM_THREADS or machine parallelism)")
+                             "score, and in batch for hashing the manifest's files "
+                             "(default: TCDM_THREADS or machine parallelism)")
 
 
 def _config_from(args) -> MetricConfig:

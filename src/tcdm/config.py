@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -42,12 +43,14 @@ class MetricConfig:
     ridge: float = 1e-8
 
     def __post_init__(self):
-        if self.seeds < 1:
-            raise ValueError("seeds must be >= 1")
-        if self.neighbors < 1:
-            raise ValueError("neighbors must be >= 1")
-        if self.stability <= 0:
-            raise ValueError("stability constant must be > 0")
+        for name in ("seeds", "neighbors"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if not (math.isfinite(self.stability) and self.stability > 0):
+            raise ValueError(f"stability must be finite and > 0, got {self.stability!r}")
         if not (0.0 <= self.alpha <= 1.0):
             raise ValueError("alpha must lie in [0, 1]")
         if self.sampling not in SAMPLING_STRATEGIES:
@@ -60,8 +63,8 @@ class MetricConfig:
             raise ValueError(f"unknown eta mode {self.eta_mode!r}")
         if self.color_weight_mode not in COLOR_WEIGHT_MODES:
             raise ValueError(f"unknown color weight mode {self.color_weight_mode!r}")
-        if self.ridge < 0:
-            raise ValueError("ridge must be >= 0")
+        if not (math.isfinite(self.ridge) and self.ridge >= 0):
+            raise ValueError(f"ridge must be finite and >= 0, got {self.ridge!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)

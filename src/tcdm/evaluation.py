@@ -4,7 +4,7 @@ Implements the standard evaluation protocol: a 5-parameter logistic maps
 raw scores onto the rating scale, then Pearson correlation, Spearman rank
 correlation and RMSE summarize agreement. ``run_benchmark`` drives the
 whole loop over a manifest of PLY pairs with a content-addressed score
-cache so re-runs cost nothing.
+cache and a memo of the logistic fit, so re-runs cost one hash per file.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ import json
 import logging
 import math
 import os
-from dataclasses import dataclass
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -166,6 +167,23 @@ def _sha256_file(path) -> str:
     return h.hexdigest()
 
 
+def _hash_files(paths, n_workers: int) -> dict:
+    """path -> sha256 hex digest, or the OSError reading it raised, of each
+    path, hashed on up to ``n_workers`` threads (hashlib drops the GIL on
+    large updates)."""
+    def attempt(path):
+        try:
+            return _sha256_file(path)
+        except OSError as exc:
+            return exc
+
+    workers = min(n_workers, len(paths))
+    if workers <= 1:
+        return dict(zip(paths, map(attempt, paths)))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return dict(zip(paths, pool.map(attempt, paths)))
+
+
 def _config_digest(config: MetricConfig) -> str:
     blob = json.dumps(config.to_dict(), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
@@ -200,10 +218,13 @@ def run_benchmark(manifest_path, config: MetricConfig | None = None,
 
     Manifest paths are relative to the manifest file. Scores are cached in
     a JSON file next to the report keyed by (reference content, distorted
-    content, config) hashes; each distinct file is hashed once per run, so
-    a re-run of unchanged rows costs one hash per file. The cache is
-    replaced atomically, so a crash while writing it keeps the old one.
-    Unreadable rows are skipped with a logged count.
+    content, config) hashes. Each distinct file is hashed once per run, on
+    the run's ``threads`` workers, so a re-run of unchanged rows costs one
+    hash per file. The cache is replaced atomically, so a crash while
+    writing it keeps the old one, and it is not rewritten when no row was
+    scored. The logistic fit is memoized beside the report and reused
+    while its scores and ratings are unchanged. Unreadable rows are
+    skipped with a logged count.
     """
     config = config or MetricConfig()
     n_workers = resolve_threads(threads)
@@ -212,6 +233,10 @@ def run_benchmark(manifest_path, config: MetricConfig | None = None,
     cache_path = out_path + ".scores.json"
     base = os.path.dirname(os.path.abspath(manifest_path))
     rows = _read_manifest(manifest_path)
+    # before any hashing or scoring, which a report it cannot write would lose
+    report_dir = os.path.dirname(out_path) or "."
+    if not os.path.isdir(report_dir):
+        raise ValueError(f"report directory {report_dir!r} does not exist")
 
     cache = {}
     if os.path.exists(cache_path):
@@ -226,14 +251,16 @@ def run_benchmark(manifest_path, config: MetricConfig | None = None,
             cache = {}
     cfg_digest = _config_digest(config)
 
-    # pass 1: hash files, resolve cache hits, collect rows still to score
-    digests = {}
+    # pass 1: hash each distinct file, resolve cache hits, collect rows
+    # still to score; a row that reaches an unreadable file is skipped
+    paths = dict.fromkeys(os.path.join(base, rel) for row in rows for rel in row[:2])
+    digests = _hash_files(list(paths), n_workers)
 
     def digest(rel):
-        path = os.path.join(base, rel)
-        if path not in digests:
-            digests[path] = _sha256_file(path)
-        return digests[path]
+        found = digests[os.path.join(base, rel)]
+        if isinstance(found, OSError):
+            raise found
+        return found
 
     keyed = []  # (row, key or None, q or None)
     pending = {}  # reference path -> positions in keyed of its rows to score
@@ -256,6 +283,7 @@ def run_benchmark(manifest_path, config: MetricConfig | None = None,
 
     # pass 2: one reference at a time, in order of first appearance; each
     # q lands in its row's manifest slot
+    scored = 0
     for ref_path, ids in pending.items():
         qs = _score_rows(ref_path, [keyed[i][0] for i in ids], base, config, n_workers)
         for i, q in zip(ids, qs):
@@ -265,16 +293,18 @@ def run_benchmark(manifest_path, config: MetricConfig | None = None,
                 row, key, _ = keyed[i]
                 keyed[i] = (row, key, q)
                 cache[key] = q
+                scored += 1
 
-    # pass 3: persist the cache, summarize in manifest order
+    # pass 3: persist a changed cache, summarize in manifest order
     records = [ScoredRecord(row[0], row[1], row[2], row[3], q)
                for row, _, q in keyed if q is not None]
 
-    _replace_json(cache_path, cache)
+    if scored:
+        _replace_json(cache_path, cache)
     if not records:
         raise ValueError("no manifest row could be scored")
 
-    summary, records = _summarize(records)
+    summary, records = _summarize(records, out_path + ".logistic.json")
     summary.cache_hits = cache_hits
     summary.skipped_files = skipped
     _write_report(out_path, records, summary)
@@ -315,15 +345,37 @@ def _replace_json(path, obj) -> None:
         raise
 
 
-def _summarize(records):
-    qs = np.array([r.q for r in records])
-    mos = np.array([r.mos for r in records])
+def _mapped_scores(qs, mos, memo_path) -> np.ndarray:
+    """``qs`` through the logistic fitted to ``mos``. The fit is memoized
+    at ``memo_path`` under a digest of its inputs and reused while they
+    match; JSON round-trips floats exactly, so a reused fit maps every
+    score to the same bits. A memo that is missing, unreadable or made
+    from other inputs means a refit."""
+    inputs = hashlib.sha256(qs.tobytes() + mos.tobytes()).hexdigest()
+    try:
+        with open(memo_path) as fh:
+            memo = json.load(fh)
+    except (OSError, ValueError):
+        memo = None
+    if isinstance(memo, dict) and memo.get("inputs") == inputs:
+        params = memo.get("params")
+        if (isinstance(params, list) and len(params) == 5
+                and all(type(b) is float for b in params)):
+            return logistic5(qs, params)
+    params, mapped = fit_logistic5(qs, mos)
+    _replace_json(memo_path, {"inputs": inputs, "params": [float(b) for b in astuple(params)]})
+    return mapped
+
+
+def _summarize(records, memo_path):
+    qs = np.array([r.q for r in records], dtype=np.float64)
+    mos = np.array([r.mos for r in records], dtype=np.float64)
     degenerate = qs.size < 6 or qs.std() == 0.0 or mos.std() == 0.0
     if degenerate:
         mapped = qs.copy()
         global_plcc = global_srocc = global_rmse = float("nan")
     else:
-        _, mapped = fit_logistic5(qs, mos)
+        mapped = _mapped_scores(qs, mos, memo_path)
         global_plcc = plcc(mapped, mos)
         global_srocc = srocc(qs, mos)
         global_rmse = rmse(mapped, mos)

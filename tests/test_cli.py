@@ -70,6 +70,15 @@ class TestScoreCommand:
         assert code == 2
         assert f"{bad}: vertex property 'x' is declared more than once" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
+    def test_bad_stability_exits_two(self, ply_pair, capsys, value):
+        code = main(["score", str(ply_pair / "a.ply"), str(ply_pair / "a.ply"),
+                     "--t", value] + CONFIG_FLAGS)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "stability must be finite and > 0" in captured.err
+
     def test_unknown_flag_exits_one(self, ply_pair):
         with pytest.raises(SystemExit) as exc:
             main(["score", str(ply_pair / "a.ply"), str(ply_pair / "a.ply"),
@@ -154,6 +163,16 @@ class TestBatchCommand:
         main(["batch", str(manifest), "--out", str(out), "--seeds", "14",
               "--k", "8", "--threads", "1"])
         assert "cache_hits=0" in capsys.readouterr().out
+
+
+    def test_missing_report_directory_exits_two(self, ply_pair, capsys):
+        manifest = self._write_manifest(ply_pair)
+        out = ply_pair / "no_such_dir" / "report.csv"
+        code = main(["batch", str(manifest), "--out", str(out)] + CONFIG_FLAGS)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"report directory {str(out.parent)!r} does not exist" in captured.err
 
 
 class TestConfigFlags:

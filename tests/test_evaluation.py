@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import importlib
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -242,8 +244,10 @@ class TestRunBenchmark:
         tmp_path, manifest, config = synthetic_benchmark
         out = tmp_path / "report.csv"
         first = run_benchmark(manifest, config, out, threads=1)
+        report = out.read_bytes()
         again = run_benchmark(manifest, config, out, threads=1)
         assert again.cache_hits == again.n == 12
+        assert out.read_bytes() == report
         assert again.srocc == pytest.approx(first.srocc, abs=1e-15)
         cache = json.loads((tmp_path / "report.csv.scores.json").read_text())
         assert len(cache) == 12
@@ -289,20 +293,82 @@ class TestRunBenchmark:
         rows = [["ref.ply", f"d{i}.ply", "ggn", 3.0 - i] for i in range(2)]
         return _build_manifest(tmp_path, rows)
 
-    def test_each_file_hashed_once_per_run(self, tmp_path, two_row_manifest, monkeypatch):
-        hashed = []
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_each_file_hashed_once_per_run(self, tmp_path, two_row_manifest, monkeypatch,
+                                           threads):
+        hashed, lock = [], threading.Lock()
         original = evaluation._sha256_file
 
         def counting(path):
-            hashed.append(path)
+            with lock:
+                hashed.append(path)
             return original(path)
 
         monkeypatch.setattr(evaluation, "_sha256_file", counting)
         config = MetricConfig(seeds=8, neighbors=6)
         for _ in range(2):   # cold, then cached
             hashed.clear()
-            run_benchmark(two_row_manifest, config, tmp_path / "r.csv", threads=1)
+            run_benchmark(two_row_manifest, config, tmp_path / "r.csv", threads=threads)
             assert len(hashed) == len(set(hashed)) == 3
+
+    def test_cache_keys_equal_at_one_and_two_threads(self, tmp_path, two_row_manifest):
+        config = MetricConfig(seeds=8, neighbors=6)
+        caches = []
+        for threads in (1, 2):
+            out = tmp_path / f"t{threads}.csv"
+            run_benchmark(two_row_manifest, config, out, threads=threads)
+            caches.append(json.loads((tmp_path / f"t{threads}.csv.scores.json").read_text()))
+        assert len(caches[0]) == 2
+        assert caches[1] == caches[0]
+
+    def test_unreadable_files_skipped_alike_at_one_and_two_threads(self, tmp_path,
+                                                                  two_row_manifest, caplog):
+        rows = [["ref.ply", "d0.ply", "ggn", 3.0], ["ref.ply", "gone.ply", "ggn", 2.0],
+                ["lost.ply", "d1.ply", "ggn", 1.0], ["ref.ply", "d1.ply", "ggn", 0.0],
+                ["lost.ply", "gone.ply", "ggn", 1.5], ["ref.ply", "gone.ply", "ggn", 2.5]]
+        manifest = _build_manifest(tmp_path, rows)
+        config = MetricConfig(seeds=8, neighbors=6)
+        runs = []
+        for threads in (1, 2):
+            caplog.clear()
+            summary = run_benchmark(manifest, config, tmp_path / f"t{threads}.csv",
+                                    threads=threads)
+            warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+            runs.append((summary.skipped_files, summary.n, warnings))
+        assert runs[1] == runs[0]
+        skipped, n, warnings = runs[0]
+        assert (skipped, n) == (4, 2)
+        assert [w.split(":")[0] for w in warnings] == [
+            "skipping unreadable pair (ref.ply, gone.ply)",
+            "skipping unreadable pair (lost.ply, d1.ply)",
+            "skipping unreadable pair (lost.ply, gone.ply)",
+            "skipping unreadable pair (ref.ply, gone.ply)"]
+        assert "gone.ply" in warnings[0] and "lost.ply" in warnings[1]
+
+    def test_missing_report_directory_fails_before_any_work(self, tmp_path, two_row_manifest,
+                                                            monkeypatch):
+        calls = []
+        for name in ("_sha256_file", "load_ply", "prepare_reference", "score_with_reference"):
+            monkeypatch.setattr(evaluation, name,
+                                lambda *args, name=name, **kwargs: calls.append(name))
+        out = tmp_path / "missing_dir" / "r.csv"
+        with pytest.raises(ValueError, match=f"report directory {str(out.parent)!r} "
+                                             "does not exist"):
+            run_benchmark(two_row_manifest, MetricConfig(seeds=8, neighbors=6), out,
+                          threads=1)
+        assert calls == []
+        assert not (tmp_path / "missing_dir").exists()
+
+    def test_cached_rerun_leaves_score_cache_untouched(self, tmp_path, two_row_manifest):
+        config = MetricConfig(seeds=8, neighbors=6)
+        run_benchmark(two_row_manifest, config, tmp_path / "r.csv", threads=1)
+        cache_path = tmp_path / "r.csv.scores.json"
+        os.utime(cache_path, ns=(1_000_000_000, 1_000_000_000))
+        before = cache_path.read_bytes()
+        again = run_benchmark(two_row_manifest, config, tmp_path / "r.csv", threads=1)
+        assert again.cache_hits == 2
+        assert cache_path.stat().st_mtime_ns == 1_000_000_000
+        assert cache_path.read_bytes() == before
 
     def test_crash_while_writing_cache_keeps_old_cache(self, tmp_path, two_row_manifest,
                                                        monkeypatch):
@@ -495,3 +561,127 @@ class TestRunBenchmark:
         manifest = _build_manifest(tmp_path, [])
         with pytest.raises(ValueError, match="no data rows"):
             run_benchmark(manifest, MetricConfig(seeds=8), tmp_path / "r.csv")
+
+
+class TestLogisticMemo:
+    @pytest.fixture
+    def bench(self, tmp_path):
+        """(manifest, config, report path) for ten rows whose scores are all
+        cached, so a run only hashes, fits and writes. The files are hashed,
+        never parsed."""
+        config = MetricConfig(seeds=8, neighbors=6)
+        (tmp_path / "ref.ply").write_bytes(b"reference")
+        q = np.linspace(0.0, 1.0, 10)
+        mos = 1.0 + 4.0 / (1.0 + np.exp(-6.0 * (q - 0.5))) + 0.1 * np.sin(7.0 * q)
+        cache, rows = {}, []
+        for i in range(10):
+            (tmp_path / f"d{i}.ply").write_bytes(f"distorted {i}".encode())
+            key = (f"{evaluation._sha256_file(tmp_path / 'ref.ply')}:"
+                   f"{evaluation._sha256_file(tmp_path / f'd{i}.ply')}:"
+                   f"{evaluation._config_digest(config)}")
+            cache[key] = float(q[i])
+            rows.append(["ref.ply", f"d{i}.ply", "g" if i % 2 else "c", float(mos[i])])
+        manifest = _build_manifest(tmp_path, rows)
+        out = tmp_path / "r.csv"
+        (tmp_path / "r.csv.scores.json").write_text(json.dumps(cache))
+        return manifest, config, out
+
+    @pytest.fixture
+    def fits(self, monkeypatch):
+        calls = []
+        original = evaluation.fit_logistic5
+
+        def counting(scores, mos):
+            params, mapped = original(scores, mos)
+            calls.append(dataclasses.astuple(params))
+            return params, mapped
+
+        monkeypatch.setattr(evaluation, "fit_logistic5", counting)
+        return calls
+
+    def _memo(self, out):
+        return out.with_name(out.name + ".logistic.json")
+
+    def _changed_mos(self, manifest):
+        """``manifest`` rewritten with one mos changed."""
+        with open(manifest, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        rows[0][3] = str(float(rows[0][3]) - 0.5)
+        return _build_manifest(manifest.parent, rows)
+
+    def test_cached_rerun_reuses_the_fit(self, bench, fits):
+        manifest, config, out = bench
+        first = run_benchmark(manifest, config, out, threads=1)
+        cold = out.read_bytes()
+        memo = json.loads(self._memo(out).read_text())
+        assert len(fits) == 1
+        assert sorted(memo) == ["inputs", "params"]
+        assert tuple(memo["params"]) == fits[0]   # every bit of the fit
+        again = run_benchmark(manifest, config, out, threads=2)
+        assert len(fits) == 1
+        assert out.read_bytes() == cold
+        assert (again.plcc, again.srocc, again.rmse) == (first.plcc, first.srocc, first.rmse)
+
+    def test_changed_mos_refits(self, bench, fits):
+        manifest, config, out = bench
+        run_benchmark(manifest, config, out, threads=1)
+        cold = out.read_bytes()
+        changed = self._changed_mos(manifest)
+        summary = run_benchmark(changed, config, out, threads=1)
+        assert summary.cache_hits == 10
+        assert len(fits) == 2
+        assert out.read_bytes() != cold
+
+    @pytest.mark.parametrize("memo", [
+        "{bad json", "[]", '"params"', '{"params": [1.0, 2.0, 3.0, 4.0, 5.0]}',
+        '{"inputs": "%s", "params": [1.0, 2.0, 3.0, 4.0, 5.0]}' % ("0" * 64),
+        "inputs:short", "inputs:ints", "inputs:strings"],
+        ids=["corrupt", "list", "string", "no_inputs", "other_inputs", "four_params",
+             "int_params", "string_params"])
+    def test_bad_memo_refits_silently(self, bench, fits, caplog, memo):
+        manifest, config, out = bench
+        run_benchmark(manifest, config, out, threads=1)
+        cold, good = out.read_bytes(), self._memo(out).read_text()
+        if memo.startswith("inputs:"):   # the right inputs with unusable params
+            params = {"short": [1.0] * 4, "ints": [1, 2, 3, 4, 5],
+                      "strings": ["1.0"] * 5}[memo.split(":")[1]]
+            memo = json.dumps({"inputs": json.loads(good)["inputs"], "params": params})
+        self._memo(out).write_text(memo)
+        caplog.clear()
+        run_benchmark(manifest, config, out, threads=1)
+        assert len(fits) == 2
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+        assert out.read_bytes() == cold
+        assert self._memo(out).read_text() == good
+
+    def test_crash_while_writing_memo_keeps_memo_and_cache(self, bench, monkeypatch):
+        manifest, config, out = bench
+        run_benchmark(manifest, config, out, threads=1)
+        memo_path, cache_path = self._memo(out), out.with_name(out.name + ".scores.json")
+        memo, cache = memo_path.read_bytes(), cache_path.read_bytes()
+        changed = self._changed_mos(manifest)
+
+        class CrashingJson:
+            def __getattr__(self, name):
+                return getattr(json, name)
+
+            def dump(self, obj, fh, **kwargs):
+                fh.write(json.dumps(obj)[:10])   # a torn write
+                raise RuntimeError("crash mid-write")
+
+        monkeypatch.setattr(evaluation, "json", CrashingJson())
+        with pytest.raises(RuntimeError, match="crash mid-write"):
+            run_benchmark(changed, config, out, threads=1)
+        assert memo_path.read_bytes() == memo
+        assert cache_path.read_bytes() == cache
+        assert not [p.name for p in out.parent.iterdir() if p.suffix == ".tmp"]
+
+    def test_degenerate_summary_writes_no_memo(self, tmp_path, fits):
+        ref = sphere_cloud(600, 5, radius=100.0)
+        save_ply(ref, tmp_path / "ref.ply")
+        manifest = _build_manifest(tmp_path, [["ref.ply", "ref.ply", "self", 4.0]] * 3)
+        summary = run_benchmark(manifest, MetricConfig(seeds=8, neighbors=6),
+                                tmp_path / "r.csv", threads=1)
+        assert summary.degenerate
+        assert fits == []
+        assert not (tmp_path / "r.csv.logistic.json").exists()

@@ -246,6 +246,27 @@ class TestErrors:
         assert cfg.color_space == "rgb"
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("stability", float("nan")), ("stability", float("inf")), ("stability", 0.0),
+        ("stability", -1e-6),
+        ("ridge", float("nan")), ("ridge", float("inf")), ("ridge", -1e-8),
+        ("seeds", 6.5), ("seeds", 8.0), ("seeds", True), ("seeds", 0),
+        ("neighbors", 8.0), ("neighbors", 6.5), ("neighbors", True), ("neighbors", False),
+        pytest.param("neighbors", np.int64(8), id="neighbors-int64"),
+    ])
+    def test_bad_value_rejected_naming_its_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            MetricConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("stability", 1e-300), ("stability", 5), ("ridge", 0.0), ("ridge", 0),
+        ("seeds", 1), ("neighbors", 1),
+    ])
+    def test_edge_values_accepted(self, field, value):
+        assert getattr(MetricConfig(**{field: value}), field) == value
+
+
 class TestThreadResolution:
     def test_explicit_argument_wins(self, monkeypatch):
         from tcdm.metric import resolve_threads
