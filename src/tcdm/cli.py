@@ -32,29 +32,30 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
+# (flag, MetricConfig field, help); each flag's default, type and choices
+# come from the field
+_CONFIG_FLAGS = (
+    ("--seeds", "seeds", "number of generating seeds"),
+    ("--k", "neighbors", "neighborhood order"),
+    ("--t", "stability", "similarity stability constant"),
+    ("--alpha", "alpha", "fusion weight of the complexity feature"),
+    ("--sampling", "sampling", "seed sampling strategy"),
+    ("--sampling-seed", "sampling_seed", "rng seed for --sampling random"),
+    ("--weight-scheme", "weight_scheme", "neighbor weight scheme"),
+    ("--color-space", "color_space", "color space of the features"),
+    ("--eta-mode", "eta_mode", "spread used by the sigmoid weights"),
+    ("--color-weight-mode", "color_weight_mode", "color difference channel weights"),
+)
+_CHOICES = {"sampling": SAMPLING_STRATEGIES, "weight_scheme": WEIGHT_SCHEMES,
+            "color_space": COLOR_SPACES, "eta_mode": ETA_MODES,
+            "color_weight_mode": COLOR_WEIGHT_MODES}
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    d = DEFAULT_CONFIG
-    parser.add_argument("--seeds", type=int, default=d.seeds,
-                        help="number of generating seeds (default %(default)s)")
-    parser.add_argument("--k", type=int, default=d.neighbors,
-                        help="neighborhood order (default %(default)s)")
-    parser.add_argument("--t", type=float, default=d.stability,
-                        help="similarity stability constant (default %(default)s)")
-    parser.add_argument("--alpha", type=float, default=d.alpha,
-                        help="fusion weight of the complexity feature (default %(default)s)")
-    parser.add_argument("--sampling", choices=SAMPLING_STRATEGIES, default=d.sampling,
-                        help="seed sampling strategy (default %(default)s)")
-    parser.add_argument("--sampling-seed", type=int, default=d.sampling_seed,
-                        help="rng seed for --sampling random (default %(default)s)")
-    parser.add_argument("--weight-scheme", choices=WEIGHT_SCHEMES, default=d.weight_scheme,
-                        help="neighbor weight scheme (default %(default)s)")
-    parser.add_argument("--color-space", choices=COLOR_SPACES, default=d.color_space,
-                        help="color space of the features (default %(default)s)")
-    parser.add_argument("--eta-mode", choices=ETA_MODES, default=d.eta_mode,
-                        help="spread used by the sigmoid weights (default %(default)s)")
-    parser.add_argument("--color-weight-mode", choices=COLOR_WEIGHT_MODES,
-                        default=d.color_weight_mode,
-                        help="color difference channel weights (default %(default)s)")
+    for flag, field, text in _CONFIG_FLAGS:
+        default = getattr(DEFAULT_CONFIG, field)
+        parser.add_argument(flag, type=type(default), default=default,
+                            choices=_CHOICES.get(field), help=f"{text} (default %(default)s)")
     parser.add_argument("--threads", type=int, default=None,
                         help="worker threads for the patch groups of each prepare and "
                              "score, and in batch for hashing the manifest's files "
@@ -62,18 +63,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from(args) -> MetricConfig:
-    return MetricConfig(
-        seeds=args.seeds,
-        neighbors=args.k,
-        stability=args.t,
-        alpha=args.alpha,
-        sampling=args.sampling,
-        sampling_seed=args.sampling_seed,
-        weight_scheme=args.weight_scheme,
-        color_space=args.color_space,
-        eta_mode=args.eta_mode,
-        color_weight_mode=args.color_weight_mode,
-    )
+    return MetricConfig(**{field: getattr(args, flag[2:].replace("-", "_"))
+                           for flag, field, _ in _CONFIG_FLAGS})
 
 
 def _cmd_score(args) -> int:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -43,12 +44,18 @@ class MetricConfig:
     ridge: float = 1e-8
 
     def __post_init__(self):
-        for name in ("seeds", "neighbors"):
+        for name, low in (("seeds", 1), ("neighbors", 1), ("sampling_seed", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}")
+        # stored as floats, so configs equal as values share one cache key
+        for name in ("stability", "alpha", "ridge"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if not (math.isfinite(self.stability) and self.stability > 0):
             raise ValueError(f"stability must be finite and > 0, got {self.stability!r}")
         if not (0.0 <= self.alpha <= 1.0):

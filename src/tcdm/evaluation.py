@@ -26,7 +26,6 @@ from .metric import prepare_reference, resolve_threads, score_with_reference
 from .pointcloud import load_ply
 
 __all__ = [
-    "ScoredRecord",
     "LogisticParams",
     "CorrelationSummary",
     "fit_logistic5",
@@ -39,16 +38,6 @@ __all__ = [
 ]
 
 log = logging.getLogger("tcdm")
-
-
-@dataclass(frozen=True)
-class ScoredRecord:
-    reference_id: str
-    distorted_id: str
-    distortion_type: str
-    mos: float
-    q: float
-    mapped_q: float = float("nan")
 
 
 @dataclass(frozen=True)
@@ -177,10 +166,7 @@ def _hash_files(paths, n_workers: int) -> dict:
         except OSError as exc:
             return exc
 
-    workers = min(n_workers, len(paths))
-    if workers <= 1:
-        return dict(zip(paths, map(attempt, paths)))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=max(1, min(n_workers, len(paths)))) as pool:
         return dict(zip(paths, pool.map(attempt, paths)))
 
 
@@ -251,63 +237,39 @@ def run_benchmark(manifest_path, config: MetricConfig | None = None,
             cache = {}
     cfg_digest = _config_digest(config)
 
-    # pass 1: hash each distinct file, resolve cache hits, collect rows
-    # still to score; a row that reaches an unreadable file is skipped
+    # each row's cache key, from one hash of each distinct file; a row that
+    # reaches an unreadable file gets none and is skipped
     paths = dict.fromkeys(os.path.join(base, rel) for row in rows for rel in row[:2])
     digests = _hash_files(list(paths), n_workers)
+    keys = []
+    for ref_rel, dist_rel, *_ in rows:
+        found = [digests[os.path.join(base, rel)] for rel in (ref_rel, dist_rel)]
+        errors = [d for d in found if isinstance(d, OSError)]
+        if errors:
+            log.warning("skipping unreadable pair (%s, %s): %s", ref_rel, dist_rel, errors[0])
+        keys.append(None if errors else ":".join(found + [cfg_digest]))
+    cache_hits = sum(key in cache for key in keys)
 
-    def digest(rel):
-        found = digests[os.path.join(base, rel)]
-        if isinstance(found, OSError):
-            raise found
-        return found
-
-    keyed = []  # (row, key or None, q or None)
-    pending = {}  # reference path -> positions in keyed of its rows to score
-    cache_hits = 0
-    skipped = 0
-    for row in rows:
-        ref_rel, dist_rel = row[0], row[1]
-        try:
-            key = f"{digest(ref_rel)}:{digest(dist_rel)}:{cfg_digest}"
-        except OSError as exc:
-            log.warning("skipping unreadable pair (%s, %s): %s", ref_rel, dist_rel, exc)
-            skipped += 1
-            continue
-        if key in cache:
-            cache_hits += 1
-            keyed.append((row, key, float(cache[key])))
-        else:
-            pending.setdefault(os.path.join(base, ref_rel), []).append(len(keyed))
-            keyed.append((row, key, None))
-
-    # pass 2: one reference at a time, in order of first appearance; each
-    # q lands in its row's manifest slot
-    scored = 0
-    for ref_path, ids in pending.items():
-        qs = _score_rows(ref_path, [keyed[i][0] for i in ids], base, config, n_workers)
-        for i, q in zip(ids, qs):
-            if q is None:
-                skipped += 1
-            else:
-                row, key, _ = keyed[i]
-                keyed[i] = (row, key, q)
-                cache[key] = q
-                scored += 1
-
-    # pass 3: persist a changed cache, summarize in manifest order
-    records = [ScoredRecord(row[0], row[1], row[2], row[3], q)
-               for row, _, q in keyed if q is not None]
-
-    if scored:
+    # score each uncached key once, one reference at a time in order of
+    # first appearance; persist the cache only when a row was scored
+    pending = {}  # reference path -> {key: first row with that key}
+    for row, key in zip(rows, keys):
+        if key is not None and key not in cache:
+            pending.setdefault(os.path.join(base, row[0]), {}).setdefault(key, row)
+    fresh = {}
+    for ref_path, todo in pending.items():
+        qs = _score_rows(ref_path, list(todo.values()), base, config, n_workers)
+        fresh.update((key, q) for key, q in zip(todo, qs) if q is not None)
+    if fresh:
+        cache.update(fresh)
         _replace_json(cache_path, cache)
-    if not records:
-        raise ValueError("no manifest row could be scored")
 
-    summary, records = _summarize(records, out_path + ".logistic.json")
-    summary.cache_hits = cache_hits
-    summary.skipped_files = skipped
-    _write_report(out_path, records, summary)
+    scored = [(row, float(cache[key])) for row, key in zip(rows, keys) if key in cache]
+    if not scored:
+        raise ValueError("no manifest row could be scored")
+    summary, mapped = _summarize(scored, out_path + ".logistic.json")
+    summary.cache_hits, summary.skipped_files = cache_hits, len(rows) - len(scored)
+    _write_report(out_path, [(row, q, m) for (row, q), m in zip(scored, mapped)], summary)
     return summary
 
 
@@ -367,9 +329,10 @@ def _mapped_scores(qs, mos, memo_path) -> np.ndarray:
     return mapped
 
 
-def _summarize(records, memo_path):
-    qs = np.array([r.q for r in records], dtype=np.float64)
-    mos = np.array([r.mos for r in records], dtype=np.float64)
+def _summarize(scored, memo_path):
+    """The summary of the (row, q) pairs in ``scored``, and their mapped q."""
+    qs = np.array([q for _, q in scored], dtype=np.float64)
+    mos = np.array([row[3] for row, _ in scored], dtype=np.float64)
     degenerate = qs.size < 6 or qs.std() == 0.0 or mos.std() == 0.0
     if degenerate:
         mapped = qs.copy()
@@ -379,29 +342,28 @@ def _summarize(records, memo_path):
         global_plcc = plcc(mapped, mos)
         global_srocc = srocc(qs, mos)
         global_rmse = rmse(mapped, mos)
-    records = [ScoredRecord(r.reference_id, r.distorted_id, r.distortion_type,
-                            r.mos, r.q, float(m)) for r, m in zip(records, mapped)]
+    types = np.array([row[2] for row, _ in scored])
     per_type = {}
-    for dtype in sorted({r.distortion_type for r in records}):
-        group = [r for r in records if r.distortion_type == dtype]
-        gq = np.array([r.q for r in group])
-        gm = np.array([r.mos for r in group])
+    for dtype in sorted(set(types.tolist())):
+        gq, gm = qs[types == dtype], mos[types == dtype]
         if gq.size >= 2 and gq.std() > 0.0 and gm.std() > 0.0:
             per_type[dtype] = (srocc(gq, gm), gq.size)
         else:
             per_type[dtype] = (float("nan"), gq.size)
     summary = CorrelationSummary(plcc=global_plcc, srocc=global_srocc, rmse=global_rmse,
-                                 n=len(records), per_type=per_type, degenerate=degenerate)
-    return summary, records
+                                 n=len(scored), per_type=per_type, degenerate=degenerate)
+    return summary, mapped
 
 
-def _write_report(out_path, records, summary: CorrelationSummary) -> None:
+def _write_report(out_path, lines, summary: CorrelationSummary) -> None:
+    """The report CSV: one line per (row, q, mapped q) of ``lines``, then
+    the summary."""
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["reference", "distorted", "distortion_type", "mos", "q", "mapped_q"])
-        for r in records:
-            writer.writerow([r.reference_id, r.distorted_id, r.distortion_type,
-                             f"{r.mos:.6f}", f"{r.q:.12g}", f"{r.mapped_q:.12g}"])
+        for (reference, distorted, dtype, mos), q, mapped in lines:
+            writer.writerow([reference, distorted, dtype,
+                             f"{mos:.6f}", f"{q:.12g}", f"{mapped:.12g}"])
         writer.writerow([])
         writer.writerow(["summary_global", "plcc", f"{summary.plcc:.6f}", f"n={summary.n}"])
         writer.writerow(["summary_global", "srocc", f"{summary.srocc:.6f}", f"n={summary.n}"])

@@ -100,6 +100,8 @@ class DegradationSpec:
     def __post_init__(self):
         if self.kind not in DEGRADATION_KINDS:
             raise ValueError(f"unknown degradation kind {self.kind!r}")
+        if not np.isfinite(self.level):
+            raise ValueError(f"level must be finite, got {self.level}")
         if self.kind == "downsample":
             if not (0.0 < self.level <= 1.0):
                 raise ValueError(f"downsample keep-fraction must be in (0, 1], got {self.level}")

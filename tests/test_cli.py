@@ -118,6 +118,13 @@ class TestDegradeCommand:
         assert main(argv + [str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("kind", ["geometry_gaussian", "color_noise"])
+    def test_non_finite_level_exits_two(self, ply_pair, tmp_path, capsys, kind):
+        out = tmp_path / "nan.ply"
+        assert main(["degrade", str(ply_pair / "a.ply"), kind, "nan", "1", str(out)]) == 2
+        assert "level must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_kind_exits_one(self, ply_pair):
         with pytest.raises(SystemExit) as exc:
             main(["degrade", str(ply_pair / "a.ply"), "melt", "0.5", "1", "x.ply"])

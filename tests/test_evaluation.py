@@ -345,6 +345,37 @@ class TestRunBenchmark:
             "skipping unreadable pair (ref.ply, gone.ply)"]
         assert "gone.ply" in warnings[0] and "lost.ply" in warnings[1]
 
+    def test_duplicated_rows(self, tmp_path, two_row_manifest, caplog, monkeypatch):
+        rows = [["ref.ply", "d0.ply", "ggn", 3.0], ["ref.ply", "gone.ply", "ggn", 2.0],
+                ["ref.ply", "d0.ply", "ggn", 1.0], ["ref.ply", "gone.ply", "ggn", 0.0]]
+        manifest = _build_manifest(tmp_path, rows)
+        config = MetricConfig(seeds=8, neighbors=6)
+        scored = []
+        original = evaluation.score_with_reference
+
+        def counting(state, distorted, threads=None):
+            scored.append(distorted.count)
+            return original(state, distorted, threads=threads)
+
+        monkeypatch.setattr(evaluation, "score_with_reference", counting)
+        summary = run_benchmark(manifest, config, tmp_path / "r.csv", threads=1)
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert (summary.n, summary.skipped_files, summary.cache_hits) == (2, 2, 0)
+        assert [w.split(":")[0] for w in warnings] == [
+            "skipping unreadable pair (ref.ply, gone.ply)"] * 2
+        assert len(scored) == 1   # the duplicated pair is scored once
+        with open(tmp_path / "r.csv", newline="") as fh:
+            report = list(csv.reader(fh))
+        assert [r[:4] for r in report[1:3]] == [["ref.ply", "d0.ply", "ggn", "3.000000"],
+                                                ["ref.ply", "d0.ply", "ggn", "1.000000"]]
+        assert report[1][4:] == report[2][4:] and report[3] == []
+        assert len(json.loads((tmp_path / "r.csv.scores.json").read_text())) == 1
+        caplog.clear()
+        again = run_benchmark(manifest, config, tmp_path / "r.csv", threads=2)
+        assert (again.n, again.skipped_files, again.cache_hits) == (2, 2, 2)
+        assert len(scored) == 1
+        assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == warnings
+
     def test_missing_report_directory_fails_before_any_work(self, tmp_path, two_row_manifest,
                                                             monkeypatch):
         calls = []

@@ -254,6 +254,9 @@ class TestConfigValidation:
         ("seeds", 6.5), ("seeds", 8.0), ("seeds", True), ("seeds", 0),
         ("neighbors", 8.0), ("neighbors", 6.5), ("neighbors", True), ("neighbors", False),
         pytest.param("neighbors", np.int64(8), id="neighbors-int64"),
+        ("sampling_seed", 1.5), ("sampling_seed", 1.0), ("sampling_seed", -1),
+        ("sampling_seed", True), ("stability", True), ("alpha", True), ("alpha", "0.3"),
+        ("ridge", False),
     ])
     def test_bad_value_rejected_naming_its_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be"):
@@ -261,10 +264,20 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("field, value", [
         ("stability", 1e-300), ("stability", 5), ("ridge", 0.0), ("ridge", 0),
-        ("seeds", 1), ("neighbors", 1),
+        ("seeds", 1), ("neighbors", 1), ("sampling_seed", 0),
     ])
     def test_edge_values_accepted(self, field, value):
         assert getattr(MetricConfig(**{field: value}), field) == value
+
+    @pytest.mark.parametrize("field, one, other", [
+        ("alpha", 1, 1.0), ("stability", 1, 1.0), ("ridge", 0, 0.0),
+    ])
+    def test_equal_configs_share_a_cache_key(self, field, one, other):
+        from tcdm.evaluation import _config_digest
+        a, b = MetricConfig(**{field: one}), MetricConfig(**{field: other})
+        assert a == b
+        assert type(getattr(a, field)) is float
+        assert _config_digest(a) == _config_digest(b)
 
 
 class TestThreadResolution:

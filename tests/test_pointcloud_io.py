@@ -372,6 +372,10 @@ class TestDegrade:
             DegradationSpec("geometry_gaussian", -1.0, 1)
         with pytest.raises(ValueError):
             DegradationSpec("melt", 0.1, 1)
+        for kind in ("geometry_gaussian", "color_noise"):
+            for level in (float("nan"), float("inf")):
+                with pytest.raises(ValueError, match="^level must be finite"):
+                    DegradationSpec(kind, level, 1)
 
 
 class TestValidation:
