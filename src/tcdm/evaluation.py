@@ -333,7 +333,7 @@ def _summarize(scored, memo_path):
     """The summary of the (row, q) pairs in ``scored``, and their mapped q."""
     qs = np.array([q for _, q in scored], dtype=np.float64)
     mos = np.array([row[3] for row, _ in scored], dtype=np.float64)
-    degenerate = qs.size < 6 or qs.std() == 0.0 or mos.std() == 0.0
+    degenerate = bool(qs.size < 6 or qs.std() == 0.0 or mos.std() == 0.0)
     if degenerate:
         mapped = qs.copy()
         global_plcc = global_srocc = global_rmse = float("nan")

@@ -17,8 +17,7 @@ import numpy as np
 from .config import MetricConfig, color_weights_for
 from .savar import PatchEncoding, _bounds, cross_complexity
 from .segmentation import Patch
-# knn_batch is unused here; the benchmark's tracer swaps it under this name
-from .spatial import build_index, knn_batch, knn_segments
+from .spatial import build_index, knn_batch
 
 __all__ = [
     "PatchFeatures",
@@ -95,7 +94,8 @@ def _field_neighbor_ids(predictions, k: int) -> list:
         return []
     bounds = _bounds([len(p) for p in predictions])
     pos = np.concatenate([p[:, :3] for p in predictions])
-    ids, _ = knn_segments(build_index(pos, bounds), pos, bounds, k + 1)
+    # bounds go positionally: perfbench's knn hook raises on the keyword
+    ids, _ = knn_batch(build_index(pos, bounds), pos, k + 1, bounds)
     return [(ids[lo:hi, 1:] - lo).astype(np.min_scalar_type(hi - lo - 1))
             for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
 

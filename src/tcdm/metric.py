@@ -16,6 +16,7 @@ slots (points x K) of the reference patches; see ``_groups``.
 from __future__ import annotations
 
 import logging
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -112,7 +113,7 @@ class ReferenceState:
 
 def resolve_threads(threads: int | None) -> int:
     """Worker count: explicit argument, then TCDM_THREADS, then machine;
-    a count below 1 from either source raises."""
+    a count that is not an integer, or is below 1, raises."""
     name, env = "threads", os.environ.get("TCDM_THREADS", "").strip()
     if threads is None and not env:
         return max(1, os.cpu_count() or 1)
@@ -122,7 +123,9 @@ def resolve_threads(threads: int | None) -> int:
             threads = int(env)
         except ValueError:
             raise ValueError(f"TCDM_THREADS must be an integer, got {env!r}") from None
-    if int(threads) < 1:
+    elif isinstance(threads, bool) or not isinstance(threads, numbers.Integral):
+        raise ValueError(f"threads must be an integer, got {threads!r}")
+    if threads < 1:
         raise ValueError(f"{name} must be >= 1, got {threads}")
     return int(threads)
 

@@ -28,8 +28,7 @@ from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dpocon, dpotrf
 
 from .config import WEIGHT_SCHEMES
-# knn_batch is unused here; the benchmark's tracer swaps it under this name
-from .spatial import build_index, knn_batch, knn_segments
+from .spatial import build_index, knn_batch
 
 __all__ = [
     "NeighborPlan",
@@ -152,7 +151,8 @@ def build_neighbor_plan(targets, sources, k: int, scheme: str,
     tb = _bounds([p.count for p in targets])
     index = (build_index(tpos, tb) if sources is targets
              else build_index(_rows(sources), _bounds([p.count for p in sources])))
-    idx, dist = knn_segments(index, tpos, tb, k + 1)
+    # bounds go positionally: perfbench's knn hook raises on the keyword
+    idx, dist = knn_batch(index, tpos, k + 1, tb)
     return NeighborPlan(indices=idx[:, 1:],
                         weights=_weights_from_distances(dist[:, 1:], scheme, eta_mode))
 

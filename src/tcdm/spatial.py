@@ -32,7 +32,6 @@ __all__ = [
     "SpatialIndex",
     "build_index",
     "knn_batch",
-    "knn_segments",
     "farthest_point_sampling",
     "random_sampling",
 ]
@@ -56,7 +55,7 @@ class SpatialIndex:
     own: segment s is rows ``bounds[s]:bounds[s + 1]``. ``order`` lists
     each segment's points by rank in that same range of rows, so a kd-tree
     built over one segment's ranked points (per query batch, see
-    ``knn_segments``) reports ranks counted from the segment's start.
+    ``knn_batch``) reports ranks counted from the segment's start.
     """
 
     def __init__(self, positions: np.ndarray, bounds=None):
@@ -98,17 +97,23 @@ def build_index(positions, bounds=None) -> SpatialIndex:
     return SpatialIndex(np.asarray(positions, dtype=np.float64), bounds)
 
 
+def _d2(a, b):
+    """Contract-form d², ``(dx*dx + dy*dy) + dz*dz`` in that order, between
+    the coordinate triples ``a`` and ``b`` (arrays or scalars that
+    broadcast together). Every squared distance here is this one."""
+    d2, t, u = (p - q for p, q in zip(a, b))
+    d2 *= d2
+    t *= t
+    d2 += t
+    u *= u
+    d2 += u
+    return d2
+
+
 def _sq_dists(pts: np.ndarray, queries: np.ndarray, cand: np.ndarray) -> np.ndarray:
     """Contract-form d² from each query to its candidate ranks (Q, w)."""
-    d2 = queries[:, 0:1] - np.take(pts[:, 0], cand)
-    d2 *= d2
-    t = queries[:, 1:2] - np.take(pts[:, 1], cand)
-    t *= t
-    d2 += t
-    t = queries[:, 2:3] - np.take(pts[:, 2], cand)
-    t *= t
-    d2 += t
-    return d2
+    return _d2([queries[:, j:j + 1] for j in range(3)],
+               [np.take(pts[:, j], cand) for j in range(3)])
 
 
 def _rerank(cand: np.ndarray, d2: np.ndarray, kk: int):
@@ -166,8 +171,8 @@ def _tree_search(pts: np.ndarray, tree: cKDTree, queries: np.ndarray, kk: int, w
 
 def _runs(segs: np.ndarray):
     """(value, start, stop) of each run of equal entries in ``segs``."""
-    if segs.size == 0 or segs[0] == segs[-1]:   # sorted: one run at most
-        return [(int(segs[0]), 0, segs.size)] if segs.size else []
+    if segs[0] == segs[-1]:   # sorted and nonempty: one run
+        return [(int(segs[0]), 0, segs.size)]
     cuts = np.flatnonzero(segs[1:] != segs[:-1]) + 1
     starts = np.concatenate([[0], cuts])
     stops = np.concatenate([cuts, [segs.size]])
@@ -199,13 +204,16 @@ class _Trees:
         return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 
-def knn_segments(index: SpatialIndex, queries: np.ndarray, query_bounds, k: int):
-    """``knn_batch`` over an index of segments, all segments at once: query
-    rows ``query_bounds[s]:query_bounds[s + 1]`` are answered from segment
-    s alone, exactly as a ``knn_batch`` call on that segment would.
+def knn_batch(index: SpatialIndex, queries: np.ndarray, k: int, query_bounds=None):
+    """The k nearest indexed points of each query row, for many rows at once.
 
-    Returns (indices, distances) of shape (Q, k). Indices count the
-    index's points from its first row, across segments.
+    Over an index of segments, query rows
+    ``query_bounds[s]:query_bounds[s + 1]`` are answered from segment s
+    alone, exactly as a call on that segment would; ``None`` asks the one
+    segment of an unsegmented index with every row. Returns (indices,
+    distances) of shape (Q, k), indices in original point numbering,
+    counted from the index's first row across segments. Every row is k
+    wide: when fewer points are indexed, the farthest one repeats.
     """
     queries = np.ascontiguousarray(queries, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[1] != 3:
@@ -213,7 +221,7 @@ def knn_segments(index: SpatialIndex, queries: np.ndarray, query_bounds, k: int)
     if k < 1:
         raise ValueError("k must be >= 1")
     n, bounds = queries.shape[0], index.bounds
-    qb = np.asarray(query_bounds, dtype=np.intp)
+    qb = np.asarray([0, n] if query_bounds is None else query_bounds, dtype=np.intp)
     if qb.shape != bounds.shape or qb[0] != 0 or qb[-1] != n or (qb[1:] < qb[:-1]).any():
         raise ValueError(f"query_bounds must cut the {n} queries into {bounds.size - 1} "
                          f"consecutive ranges, one per index segment, got {qb}")
@@ -262,17 +270,6 @@ def knn_segments(index: SpatialIndex, queries: np.ndarray, query_bounds, k: int)
     return index.order[ranks], np.sqrt(d2, out=d2)
 
 
-def knn_batch(index: SpatialIndex, queries: np.ndarray, k: int):
-    """Vectorized knn for many queries: the one-segment case of
-    ``knn_segments``.
-
-    Returns (indices, distances) of shape (Q, k) in original point
-    numbering. Every row is k wide: when fewer points are indexed, the
-    farthest one repeats.
-    """
-    return knn_segments(index, queries, [0, len(queries)], k)
-
-
 def farthest_point_sampling(positions, count: int) -> np.ndarray:
     """Greedy max-min sampling of ``count`` point indices.
 
@@ -288,14 +285,7 @@ def farthest_point_sampling(positions, count: int) -> np.ndarray:
     # rank-ordered columns, each its own contiguous array
     cx, cy, cz = (index.positions[index.order, j] for j in range(3))
     # Centroid over rank-ordered coordinates: permutation-stable summation.
-    d2 = cx - cx.mean()
-    d2 *= d2
-    t = cy - cy.mean()
-    t *= t
-    d2 += t
-    t = cz - cz.mean()
-    t *= t
-    d2 += t
+    d2 = _d2((cx, cy, cz), (cx.mean(), cy.mean(), cz.mean()))
     picked = np.empty(count, dtype=np.intp)
     current = int(np.argmax(d2))
     picked[0] = current
@@ -314,14 +304,7 @@ def farthest_point_sampling(positions, count: int) -> np.ndarray:
         r = math.sqrt(r2) * (1.0 + 1e-9)
         lo = int(np.searchsorted(cx, x - r))
         hi = int(np.searchsorted(cx, x + r, "right"))
-        d2 = cx[lo:hi] - x
-        d2 *= d2
-        t = cy[lo:hi] - cy[current]
-        t *= t
-        d2 += t
-        t = cz[lo:hi] - cz[current]
-        t *= t
-        d2 += t
+        d2 = _d2((cx[lo:hi], cy[lo:hi], cz[lo:hi]), (x, cy[current], cz[current]))
         seg = min_d2[lo:hi]
         np.minimum(seg, d2, out=seg)
         min_d2[current] = -1.0  # never re-pick, even among exact duplicates

@@ -707,6 +707,12 @@ class TestLogisticMemo:
         assert cache_path.read_bytes() == cache
         assert not [p.name for p in out.parent.iterdir() if p.suffix == ".tmp"]
 
+    def test_summary_serializes_as_json(self, bench):
+        manifest, config, out = bench
+        summary = run_benchmark(manifest, config, out, threads=1)
+        assert summary.n == 10 and type(summary.degenerate) is bool
+        assert json.loads(json.dumps(dataclasses.asdict(summary)))["degenerate"] is False
+
     def test_degenerate_summary_writes_no_memo(self, tmp_path, fits):
         ref = sphere_cloud(600, 5, radius=100.0)
         save_ply(ref, tmp_path / "ref.ply")

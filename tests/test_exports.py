@@ -59,3 +59,15 @@ def test_traced_prepare_and_score(monkeypatch, threads):
     # the hooks ran: the attributes they record are on their spans
     (score_span,) = tree.named("metric.score")
     assert score_span.attrs == {"workers": threads, "used": 8, "empty": 0}
+    # every encoding's kNN call is traced inside it, and the hook reads the
+    # call's query rows: each encoding asks once per row of the reference
+    (prep,) = tree.named("metric.prepare")
+    rows = sum(n for n in prep.attrs["patch_points"] if n >= 2)
+    for purpose in ("savar.encode_self", "savar.encode_cross", "features.field_ids"):
+        knn = [s for s in tree.named("spatial.knn_batch")
+               if any(a.name == purpose for a in tree.ancestors(s))]
+        assert knn and len(knn) == len(tree.named(purpose)), purpose
+        for s in knn:
+            parent = tree.by_id[s.parent]
+            assert parent.start <= s.start and s.end <= parent.end, purpose
+        assert sum(s.attrs["queries"] for s in knn) == rows, purpose

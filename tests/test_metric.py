@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import re
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -304,6 +305,19 @@ class TestThreadResolution:
         monkeypatch.setenv("TCDM_THREADS", "6")
         with pytest.raises(ValueError, match=f"^threads must be >= 1, got {threads}$"):
             resolve_threads(threads)
+
+    @pytest.mark.parametrize("threads", [1.9, 2.0, True, False, "2"])
+    def test_explicit_non_integer_rejected(self, monkeypatch, threads):
+        from tcdm.metric import resolve_threads
+        monkeypatch.setenv("TCDM_THREADS", "6")
+        want = f"^threads must be an integer, got {re.escape(repr(threads))}$"
+        with pytest.raises(ValueError, match=want):
+            resolve_threads(threads)
+
+    def test_numpy_integer_accepted(self):
+        from tcdm.metric import resolve_threads
+        got = resolve_threads(np.int64(3))
+        assert got == 3 and type(got) is int
 
     @pytest.mark.parametrize("env", ["0", "-4"])
     def test_env_below_one_rejected(self, monkeypatch, env):

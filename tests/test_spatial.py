@@ -6,7 +6,7 @@ from scipy.spatial import cKDTree
 
 from tcdm import spatial
 from tcdm.segmentation import split_patches
-from tcdm.spatial import (build_index, farthest_point_sampling, knn_batch, knn_segments,
+from tcdm.spatial import (build_index, farthest_point_sampling, knn_batch,
                           random_sampling)
 
 from oracles import fps_oracle, knn_oracle
@@ -285,7 +285,7 @@ class TestSlotBudget:
 
 
 class TestSegments:
-    """One knn_segments call answers each segment as knn_batch would."""
+    """One knn_batch call over segments answers each as its own call would."""
 
     @staticmethod
     def segments():
@@ -305,7 +305,7 @@ class TestSegments:
         qbounds = np.cumsum([0] + [len(q) for q in queries])
         index = build_index(np.concatenate(parts), bounds)
         for k in (1, 6):
-            idx, dist = knn_segments(index, np.concatenate(queries), qbounds, k)
+            idx, dist = knn_batch(index, np.concatenate(queries), k, qbounds)
             for s, (p, q) in enumerate(zip(parts, queries)):
                 rows = slice(qbounds[s], qbounds[s + 1])
                 one = knn_batch(build_index(p), q, k)
@@ -323,7 +323,7 @@ class TestSegments:
             build_index(pts, [0, 4, 9])
         index = build_index(pts, [0, 4, 10])
         with pytest.raises(ValueError, match="one per index segment"):
-            knn_segments(index, pts, [0, 10], 2)
+            knn_batch(index, pts, 2, [0, 10])
         with pytest.raises(ValueError, match="one per index segment"):
             knn_batch(index, pts, 2)
 
