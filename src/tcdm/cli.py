@@ -58,7 +58,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                             choices=_CHOICES.get(field), help=f"{text} (default %(default)s)")
     parser.add_argument("--threads", type=int, default=None,
                         help="worker threads for the patch groups of each prepare and "
-                             "score, and in batch for hashing the manifest's files "
+                             "score, and in batch for hashing the manifest's changed files "
                              "(default: TCDM_THREADS or machine parallelism)")
 
 

@@ -4,7 +4,8 @@ Implements the standard evaluation protocol: a 5-parameter logistic maps
 raw scores onto the rating scale, then Pearson correlation, Spearman rank
 correlation and RMSE summarize agreement. ``run_benchmark`` drives the
 whole loop over a manifest of PLY pairs with a content-addressed score
-cache and a memo of the logistic fit, so re-runs cost one hash per file.
+cache, a memo of each file's digest and a memo of the logistic fit, so
+re-runs cost one stat per unchanged file.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import json
 import logging
 import math
 import os
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass
 
@@ -38,6 +40,10 @@ __all__ = [
 ]
 
 log = logging.getLogger("tcdm")
+
+# a file whose mtime or ctime is this close to a run's start is not memoized
+# (one timestamp tick, or FAT's 2 s), so a later write in that tick is seen
+_RACY_NS = 2_000_000_000
 
 
 @dataclass(frozen=True)
@@ -156,18 +162,51 @@ def _sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def _hash_files(paths, n_workers: int) -> dict:
-    """path -> sha256 hex digest, or the OSError reading it raised, of each
-    path, hashed on up to ``n_workers`` threads (hashlib drops the GIL on
-    large updates)."""
+def _hash_files(paths, n_workers: int, memo_path) -> dict:
+    """path -> sha256 hex digest, or the OSError reaching it raised, of each
+    path. A digest memoized at ``memo_path`` is reused while all five stat
+    fields of its file (device, inode, size, mtime, ctime) are unchanged;
+    the other files are hashed on up to ``n_workers`` threads (hashlib drops
+    the GIL on large updates). As in git's index, a file changed within
+    ``_RACY_NS`` of the run's start is hashed again next run."""
+    start = time.time_ns()
+    memo = _load_json(memo_path)
+    memo = memo if isinstance(memo, dict) else {}
+    digests, stats, kept = {}, {}, {}
+    for path in paths:
+        try:
+            stats[path] = _stat_fields(path)
+        except OSError as exc:
+            digests[path] = exc
+            continue
+        entry = memo.get(path)
+        if (isinstance(entry, list) and len(entry) == 6 and entry[:5] == stats[path]
+                and isinstance(entry[5], str)):
+            digests[path], kept[path] = entry[5], entry
+    todo = [path for path in paths if path not in digests]
+
     def attempt(path):
         try:
-            return _sha256_file(path)
+            return _sha256_file(path), _stat_fields(path)
         except OSError as exc:
-            return exc
+            return exc, None
 
-    with ThreadPoolExecutor(max_workers=max(1, min(n_workers, len(paths)))) as pool:
-        return dict(zip(paths, pool.map(attempt, paths)))
+    if todo:
+        with ThreadPoolExecutor(max_workers=min(n_workers, len(todo))) as pool:
+            for path, (digest, after) in zip(todo, pool.map(attempt, todo)):
+                digests[path] = digest
+                if after == stats[path] and max(after[3:]) <= start - _RACY_NS:
+                    kept[path] = after + [digest]
+    if kept != memo:
+        _replace_json(memo_path, kept)
+    log.debug("%d distinct files: %d hashed, %d digests from the memo",
+              len(paths), len(todo), len(stats) - len(todo))
+    return digests
+
+
+def _stat_fields(path) -> list:
+    st = os.stat(path)
+    return [st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns]
 
 
 def _config_digest(config: MetricConfig) -> str:
@@ -204,13 +243,14 @@ def run_benchmark(manifest_path, config: MetricConfig | None = None,
 
     Manifest paths are relative to the manifest file. Scores are cached in
     a JSON file next to the report keyed by (reference content, distorted
-    content, config) hashes. Each distinct file is hashed once per run, on
-    the run's ``threads`` workers, so a re-run of unchanged rows costs one
-    hash per file. The cache is replaced atomically, so a crash while
-    writing it keeps the old one, and it is not rewritten when no row was
-    scored. The logistic fit is memoized beside the report and reused
-    while its scores and ratings are unchanged. Unreadable rows are
-    skipped with a logged count.
+    content, config) hashes. Each distinct file's digest is memoized
+    beside the report under its stat, and a file whose stat changed is
+    hashed once per run on the run's ``threads`` workers, so a re-run of
+    unchanged rows costs one stat per unchanged file. The cache is
+    replaced atomically, so a crash while writing it keeps the old one,
+    and it is not rewritten when no row was scored. The logistic fit is
+    memoized beside the report and reused while its scores and ratings are
+    unchanged. Unreadable rows are skipped with a logged count.
     """
     config = config or MetricConfig()
     n_workers = resolve_threads(threads)
@@ -224,41 +264,36 @@ def run_benchmark(manifest_path, config: MetricConfig | None = None,
     if not os.path.isdir(report_dir):
         raise ValueError(f"report directory {report_dir!r} does not exist")
 
-    cache = {}
-    if os.path.exists(cache_path):
-        try:
-            with open(cache_path) as fh:
-                cache = json.load(fh)
-            if not isinstance(cache, dict) or any(type(q) not in (int, float)
-                                                  for q in cache.values()):
-                raise ValueError("not a JSON object of numbers")
-        except (OSError, ValueError):
-            log.warning("ignoring unreadable score cache %s", cache_path)
-            cache = {}
+    cache = _load_json(cache_path) if os.path.exists(cache_path) else {}
+    if not isinstance(cache, dict) or any(type(q) not in (int, float) for q in cache.values()):
+        log.warning("ignoring unreadable score cache %s", cache_path)
+        cache = {}
     cfg_digest = _config_digest(config)
 
-    # each row's cache key, from one hash of each distinct file; a row that
-    # reaches an unreadable file gets none and is skipped
-    paths = dict.fromkeys(os.path.join(base, rel) for row in rows for rel in row[:2])
-    digests = _hash_files(list(paths), n_workers)
+    # each row's cache key, from one digest of each distinct file however its
+    # path is spelled; a row that reaches an unreadable file gets none and is
+    # skipped
+    pairs = [tuple(os.path.normpath(os.path.join(base, rel)) for rel in row[:2]) for row in rows]
+    digests = _hash_files(list(dict.fromkeys(p for pair in pairs for p in pair)), n_workers,
+                          out_path + ".digests.json")
     keys = []
-    for ref_rel, dist_rel, *_ in rows:
-        found = [digests[os.path.join(base, rel)] for rel in (ref_rel, dist_rel)]
+    for (ref_rel, dist_rel, *_), pair in zip(rows, pairs):
+        found = [digests[path] for path in pair]
         errors = [d for d in found if isinstance(d, OSError)]
         if errors:
             log.warning("skipping unreadable pair (%s, %s): %s", ref_rel, dist_rel, errors[0])
         keys.append(None if errors else ":".join(found + [cfg_digest]))
     cache_hits = sum(key in cache for key in keys)
 
-    # score each uncached key once, one reference at a time in order of
-    # first appearance; persist the cache only when a row was scored
-    pending = {}  # reference path -> {key: first row with that key}
-    for row, key in zip(rows, keys):
+    # score each uncached key once, one reference content at a time in order
+    # of first appearance; persist the cache only when a row was scored
+    pending = {}  # reference digest -> {key: (first row with that key, its paths)}
+    for row, pair, key in zip(rows, pairs, keys):
         if key is not None and key not in cache:
-            pending.setdefault(os.path.join(base, row[0]), {}).setdefault(key, row)
+            pending.setdefault(key.split(":")[0], {}).setdefault(key, (row, pair))
     fresh = {}
-    for ref_path, todo in pending.items():
-        qs = _score_rows(ref_path, list(todo.values()), base, config, n_workers)
+    for todo in pending.values():
+        qs = _score_rows(list(todo.values()), config, n_workers)
         fresh.update((key, q) for key, q in zip(todo, qs) if q is not None)
     if fresh:
         cache.update(fresh)
@@ -273,25 +308,38 @@ def run_benchmark(manifest_path, config: MetricConfig | None = None,
     return summary
 
 
-def _score_rows(ref_path, rows, base, config: MetricConfig, n_workers: int) -> list:
-    """q of each row against the reference at ``ref_path``, None where a
-    file cannot be scored. Rows score one at a time, each on ``n_workers``
-    patch-group workers; the prepared state lives only for this call."""
+def _score_rows(todo, config: MetricConfig, n_workers: int) -> list:
+    """q of each (row, (reference path, distorted path)) of ``todo``, all
+    with one reference, None where a file cannot be scored. The reference
+    is read from the first item's path. Rows score one at a time, each on
+    ``n_workers`` patch-group workers; the prepared state lives only for
+    this call."""
+    first_row, (ref_path, _) = todo[0]
     try:
         state = prepare_reference(load_ply(ref_path), config, threads=n_workers)
     except (OSError, ValueError) as exc:
-        log.warning("cannot prepare reference %s: %s", rows[0][0], exc)
-        return [None] * len(rows)
+        log.warning("cannot prepare reference %s: %s", first_row[0], exc)
+        return [None] * len(todo)
 
     qs = []
-    for row in rows:
+    for row, (_, dist_path) in todo:
+        start = time.perf_counter()
         try:
-            qs.append(score_with_reference(state, load_ply(os.path.join(base, row[1])),
-                                           threads=n_workers).q)
+            qs.append(score_with_reference(state, load_ply(dist_path), threads=n_workers).q)
         except (OSError, ValueError) as exc:
             log.warning("skipping pair (%s, %s): %s", row[0], row[1], exc)
             qs.append(None)
+        log.debug("row (%s, %s) in %.3f s", row[0], row[1], time.perf_counter() - start)
     return qs
+
+
+def _load_json(path):
+    """The JSON document at ``path``, or None if it cannot be read."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError):
+        return None
 
 
 def _replace_json(path, obj) -> None:
@@ -314,11 +362,7 @@ def _mapped_scores(qs, mos, memo_path) -> np.ndarray:
     score to the same bits. A memo that is missing, unreadable or made
     from other inputs means a refit."""
     inputs = hashlib.sha256(qs.tobytes() + mos.tobytes()).hexdigest()
-    try:
-        with open(memo_path) as fh:
-            memo = json.load(fh)
-    except (OSError, ValueError):
-        memo = None
+    memo = _load_json(memo_path)
     if isinstance(memo, dict) and memo.get("inputs") == inputs:
         params = memo.get("params")
         if (isinstance(params, list) and len(params) == 5

@@ -315,10 +315,11 @@ def farthest_point_sampling(positions, count: int) -> np.ndarray:
 
 
 def random_sampling(positions, count: int, rng_seed: int) -> np.ndarray:
-    """Uniformly random distinct indices, reproducible from the seed."""
-    positions = np.asarray(positions, dtype=np.float64)
-    n = positions.shape[0]
+    """Uniformly random distinct indices, reproducible from the seed, drawn
+    as lexicographic ranks so that the sampled positions ignore point order."""
+    index = build_index(positions)
+    n = index.count
     if not (1 <= count <= n):
         raise ValueError(f"sample count must be in [1, {n}], got {count}")
     rng = np.random.Generator(np.random.PCG64(rng_seed))
-    return rng.choice(n, size=count, replace=False)
+    return index.order[rng.choice(n, size=count, replace=False)]

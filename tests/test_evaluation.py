@@ -4,6 +4,7 @@ import importlib
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -311,6 +312,34 @@ class TestRunBenchmark:
             run_benchmark(two_row_manifest, config, tmp_path / "r.csv", threads=threads)
             assert len(hashed) == len(set(hashed)) == 3
 
+    @pytest.mark.parametrize("other, files", [("./ref.ply", 7), ("copy.ply", 8)],
+                             ids=["respelled", "byte_identical_copy"])
+    def test_one_digest_per_file_and_one_prepare_per_reference_content(
+            self, tmp_path, monkeypatch, other, files):
+        ref = sphere_cloud(600, 7, radius=100.0)
+        save_ply(ref, tmp_path / "ref.ply")
+        (tmp_path / "copy.ply").write_bytes((tmp_path / "ref.ply").read_bytes())
+        rows = []
+        for i in range(6):
+            save_ply(degrade(ref, DegradationSpec("geometry_gaussian", 1.0, i)),
+                     tmp_path / f"d{i}.ply")
+            rows.append([("ref.ply", other)[i % 2], f"d{i}.ply", "ggn", float(i)])
+        manifest = _build_manifest(tmp_path, rows)
+        hashed, prepared = [], []
+        for name, calls in (("_sha256_file", hashed), ("prepare_reference", prepared)):
+            original = getattr(evaluation, name)
+
+            def counting(*args, original=original, calls=calls, **kwargs):
+                calls.append(args[0])
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(evaluation, name, counting)
+        summary = run_benchmark(manifest, MetricConfig(seeds=8, neighbors=6),
+                                tmp_path / "r.csv", threads=1)
+        assert (summary.n, len(prepared), len(hashed)) == (6, 1, files)
+        with open(tmp_path / "r.csv", newline="") as fh:
+            assert [r[0] for r in list(csv.reader(fh))[1:7]] == [r[0] for r in rows]
+
     def test_cache_keys_equal_at_one_and_two_threads(self, tmp_path, two_row_manifest):
         config = MetricConfig(seeds=8, neighbors=6)
         caches = []
@@ -592,6 +621,189 @@ class TestRunBenchmark:
         manifest = _build_manifest(tmp_path, [])
         with pytest.raises(ValueError, match="no data rows"):
             run_benchmark(manifest, MetricConfig(seeds=8), tmp_path / "r.csv")
+
+
+class TestDigestMemo:
+    @pytest.fixture
+    def bench(self, tmp_path):
+        """(manifest, config, report path) for a reference and two distorted
+        copies."""
+        ref = sphere_cloud(600, 7, radius=100.0)
+        save_ply(ref, tmp_path / "ref.ply")
+        for i in range(2):
+            save_ply(degrade(ref, DegradationSpec("geometry_gaussian", 1.0 + i, i)),
+                     tmp_path / f"d{i}.ply")
+        rows = [["ref.ply", f"d{i}.ply", "ggn", 3.0 - i] for i in range(2)]
+        return _build_manifest(tmp_path, rows), MetricConfig(seeds=8, neighbors=6), \
+            tmp_path / "r.csv"
+
+    @pytest.fixture
+    def hashed(self, monkeypatch):
+        """The names of the files hashed, in any order."""
+        calls, lock = [], threading.Lock()
+        original = evaluation._sha256_file
+
+        def counting(path):
+            with lock:
+                calls.append(os.path.basename(path))
+            return original(path)
+
+        monkeypatch.setattr(evaluation, "_sha256_file", counting)
+        return calls
+
+    @pytest.fixture
+    def no_window(self, monkeypatch):
+        # record files however fresh, so that a test can hit the memo at once
+        monkeypatch.setattr(evaluation, "_RACY_NS", 0)
+
+    def _memo(self, out):
+        return out.with_name(out.name + ".digests.json")
+
+    def _outputs(self, out):
+        return [out.with_name(out.name + ext).read_bytes() for ext in ("", ".scores.json")]
+
+    def test_cached_pass_reads_no_file(self, bench, hashed, no_window, monkeypatch):
+        manifest, config, out = bench
+        run_benchmark(manifest, config, out, threads=1)
+        assert sorted(hashed) == ["d0.ply", "d1.ply", "ref.ply"]
+        memo = json.loads(self._memo(out).read_text())
+        for name in ("ref.ply", "d0.ply", "d1.ply"):
+            path = manifest.parent / name
+            st = path.stat()
+            assert memo[str(path)] == [st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns,
+                                       st.st_ctime_ns, evaluation._sha256_file(path)]
+        pools = []
+        monkeypatch.setattr(evaluation, "ThreadPoolExecutor",
+                            lambda *args, **kwargs: pools.append(kwargs))
+        hashed.clear()
+        summary = run_benchmark(manifest, config, out, threads=2)
+        assert (hashed, pools, summary.cache_hits) == ([], [], 2)
+        memoized = self._outputs(out)
+        monkeypatch.setattr(evaluation, "ThreadPoolExecutor", ThreadPoolExecutor)
+        self._memo(out).unlink()
+        run_benchmark(manifest, config, out, threads=2)
+        assert sorted(hashed) == ["d0.ply", "d1.ply", "ref.ply"]
+        assert self._outputs(out) == memoized
+
+    def test_same_size_rewrite_is_hashed_again(self, bench, hashed, no_window):
+        manifest, config, out = bench
+        run_benchmark(manifest, config, out, threads=1)
+        path = manifest.parent / "d1.ply"
+        before = path.stat()
+        save_ply(degrade(load_ply(manifest.parent / "ref.ply"),
+                         DegradationSpec("geometry_gaussian", 3.0, 9)), path)
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert (path.stat().st_size, path.stat().st_mtime_ns) == (before.st_size,
+                                                                    before.st_mtime_ns)
+        hashed.clear()
+        summary = run_benchmark(manifest, config, out, threads=1)
+        assert hashed == ["d1.ply"]
+        assert summary.cache_hits == 1   # a new key, scored again
+        assert len(json.loads(out.with_name("r.csv.scores.json").read_text())) == 3
+
+    def test_replaced_file_is_hashed_again(self, bench, hashed, no_window):
+        manifest, config, out = bench
+        run_benchmark(manifest, config, out, threads=1)
+        path, twin = manifest.parent / "d1.ply", manifest.parent / "twin.ply"
+        before = path.stat()
+        twin.write_bytes(path.read_bytes())
+        os.utime(twin, ns=(before.st_atime_ns, before.st_mtime_ns))
+        os.replace(twin, path)
+        hashed.clear()
+        summary = run_benchmark(manifest, config, out, threads=1)
+        assert hashed == ["d1.ply"]
+        assert summary.cache_hits == 2   # the same content, so the same key
+
+    def test_file_written_just_before_a_run_is_not_recorded(self, bench, hashed):
+        manifest, config, out = bench
+        for _ in range(2):
+            hashed.clear()
+            run_benchmark(manifest, config, out, threads=1)
+            assert sorted(hashed) == ["d0.ply", "d1.ply", "ref.ply"]
+            assert not self._memo(out).exists()
+
+    @pytest.mark.parametrize("memo", ["list", "truncated", "string_entry", "short_entry",
+                                      "digest_not_a_string", "other_stat"])
+    def test_bad_memo_is_rebuilt_silently(self, bench, hashed, no_window, caplog, memo):
+        manifest, config, out = bench
+        run_benchmark(manifest, config, out, threads=1)
+        text, outputs = self._memo(out).read_text(), self._outputs(out)
+        good = json.loads(text)
+        path = str(manifest.parent / "d0.ply")
+        entry = good[path]
+        bad = {"list": "[]", "truncated": text[:len(text) // 2],
+               "string_entry": json.dumps(dict(good, **{path: entry[5]})),
+               "short_entry": json.dumps(dict(good, **{path: entry[:5]})),
+               "digest_not_a_string": json.dumps(dict(good, **{path: entry[:5] + [0]})),
+               "other_stat": json.dumps(dict(good, **{path: entry[:4] + [0, entry[5]]}))}
+        self._memo(out).write_text(bad[memo])
+        caplog.clear()
+        hashed.clear()
+        run_benchmark(manifest, config, out, threads=1)
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+        want = ["d0.ply"] if memo not in ("list", "truncated") else ["d0.ply", "d1.ply",
+                                                                      "ref.ply"]
+        assert sorted(hashed) == want
+        assert self._outputs(out) == outputs
+        assert json.loads(self._memo(out).read_text()) == good
+
+    def test_deleted_file_skipped_as_unreadable(self, bench, no_window, caplog):
+        manifest, config, out = bench
+        run_benchmark(manifest, config, out, threads=1)
+        path = manifest.parent / "d1.ply"
+        path.unlink()
+        caplog.clear()
+        summary = run_benchmark(manifest, config, out, threads=1)
+        assert (summary.n, summary.skipped_files) == (1, 1)
+        assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == [
+            f"skipping unreadable pair (ref.ply, d1.ply): [Errno 2] No such file or "
+            f"directory: {str(path)!r}"]
+        assert str(path) not in json.loads(self._memo(out).read_text())
+
+    def test_memo_pruned_to_the_manifest(self, bench, no_window):
+        manifest, config, out = bench
+        run_benchmark(manifest, config, out, threads=1)
+        assert len(json.loads(self._memo(out).read_text())) == 3
+        one_row = _build_manifest(manifest.parent, [["ref.ply", "d0.ply", "ggn", 3.0]])
+        run_benchmark(one_row, config, out, threads=1)
+        assert sorted(json.loads(self._memo(out).read_text())) == [
+            str(manifest.parent / name) for name in ("d0.ply", "ref.ply")]
+
+    def test_crash_while_writing_memo_keeps_old_memo(self, bench, no_window, monkeypatch):
+        manifest, config, out = bench
+        run_benchmark(manifest, config, out, threads=1)
+        before = self._memo(out).read_bytes()
+        one_row = _build_manifest(manifest.parent, [["ref.ply", "d0.ply", "ggn", 3.0]])
+
+        class CrashingJson:
+            def __getattr__(self, name):
+                return getattr(json, name)
+
+            def dump(self, obj, fh, **kwargs):
+                fh.write(json.dumps(obj)[:10])   # a torn write
+                raise RuntimeError("crash mid-write")
+
+        monkeypatch.setattr(evaluation, "json", CrashingJson())
+        with pytest.raises(RuntimeError, match="crash mid-write"):
+            run_benchmark(one_row, config, out, threads=1)
+        assert self._memo(out).read_bytes() == before
+        assert not [p.name for p in out.parent.iterdir() if p.suffix == ".tmp"]
+
+    def test_progress_logged_at_debug_level(self, bench, no_window, caplog):
+        manifest, config, out = bench
+        caplog.set_level(logging.DEBUG, logger="tcdm")
+        runs = []
+        for _ in range(2):
+            caplog.clear()
+            run_benchmark(manifest, config, out, threads=1)
+            runs.append([r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG
+                         and ("distinct files" in r.getMessage()
+                              or r.getMessage().startswith("row "))])
+        cold, cached = runs
+        assert cold[0] == "3 distinct files: 3 hashed, 0 digests from the memo"
+        assert [re.fullmatch(r"row \(ref\.ply, (d[01])\.ply\) in \d+\.\d{3} s", m).group(1)
+                for m in cold[1:]] == ["d0", "d1"]
+        assert cached == ["3 distinct files: 0 hashed, 3 digests from the memo"]
 
 
 class TestLogisticMemo:

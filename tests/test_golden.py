@@ -70,7 +70,7 @@ GOLDEN = {
     "empty_cell": ("0.6810932243576177", "0.44114336342557986", "0.7839288790427767"),
     "exp_decay": ("0.9241296870733542", "0.8735961365763758", "0.9457869230006307"),
     "inverse_distance": ("0.9232202889426375", "0.9123695119098173", "0.9278706219567036"),
-    "random_sampling": ("0.9070288092879168", "0.8859164537258786", "0.9160769616716476"),
+    "random_sampling": ("0.9061454025935076", "0.8874334234952366", "0.9141648222070525"),
     "raw_color_weights": ("0.8833592262442985", "0.8277193074349964", "0.9072049057339995"),
     "under_width": ("0.9617329422583722", "0.9999999988476653", "0.9453327751486753"),
     "variance_eta": ("0.9020396421942478", "0.8711408732213051", "0.9152819717540804"),

@@ -77,7 +77,9 @@ class TestAssignPartition:
     def test_two_seed_hand_case(self):
         ref = PointCloud(np.array([[0.0, 0, 0], [10.0, 0, 0], [4.0, 0, 0], [6.0, 0, 0]]),
                          np.zeros((4, 3)))
-        seeds = select_seeds(ref, 2, strategy="random", rng_seed=0)
+        # a draw of the points at x=0 and x=10, which the hand case needs
+        seeds = select_seeds(ref, 2, strategy="random", rng_seed=11)
+        assert sorted(seeds[:, 0]) == [0.0, 10.0]
         # find which seed sits at x=0 vs x=10
         order = np.argsort(seeds[:, 0])
         labels = nearest_seed_labels(ref.positions, seeds)
